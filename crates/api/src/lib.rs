@@ -210,7 +210,7 @@ pub struct GraphSource {
     pub content: String,
 }
 
-/// A request against `/v1/analyze`, `/v1/batch` or `/v1/csdf`: one or
+/// A request against `/v1/analyze`, `/v1/batch`, `/v1/csdf` or `/v1/sadf`: one or
 /// more inline graphs, optional `--tiers`-style firing caps, and the
 /// budget fields of the CLI.
 ///
@@ -221,10 +221,13 @@ pub struct GraphSource {
 /// cache key exactly as they do in `sdfr batch`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AnalysisRequest {
-    /// What the inline sources describe. Flat (pre-workload) requests are
-    /// always [`WorkloadKind::Sdf`] — `/v1/csdf` historically reused the
-    /// flat shape, so the kind is authoritative only in tagged requests;
-    /// routes keep working either way.
+    /// What the inline sources describe; flat requests parse as
+    /// [`WorkloadKind::Sdf`]. Each unit's kind follows one rule: a route
+    /// that names a kind (`/v1/csdf`, `/v1/sadf`) fixes it, and a tagged
+    /// kind that contradicts the route is a `400 bad-request`; otherwise a
+    /// tagged request's kind applies to every unit; otherwise a name
+    /// ending in `.sadf` is a scenario workload and anything else plain
+    /// SDF.
     pub kind: WorkloadKind,
     /// `true` when the request was (or should be) serialized in the
     /// tagged `{"workload":{"kind":...}}` shape; `false` reproduces the
@@ -526,6 +529,34 @@ impl UnitStatus {
             },
         }
     }
+
+    /// Appends the `"status"` field and its companions — the one status
+    /// writer behind [`UnitRecord`] and [`CsdfRecord`].
+    fn write_json(&self, out: &mut String) {
+        match self {
+            UnitStatus::Exact { period } => {
+                let _ = write!(
+                    out,
+                    ",\"status\":\"exact\",\"period\":{}",
+                    period.as_deref().map_or("null".to_string(), escape_str)
+                );
+            }
+            UnitStatus::Degraded { bound, method } => {
+                let _ = write!(
+                    out,
+                    ",\"status\":\"degraded\",\"bound\":{},\"method\":\"{method}\"",
+                    escape_str(bound)
+                );
+            }
+            UnitStatus::Error { message } => {
+                let _ = write!(
+                    out,
+                    ",\"status\":\"error\",\"error\":{}",
+                    escape_str(message)
+                );
+            }
+        }
+    }
 }
 
 /// The per-scenario results of a scenario-aware unit, rendered as the
@@ -653,29 +684,7 @@ impl UnitRecord {
         if let Some(cache) = self.cache {
             let _ = write!(out, ",\"cache\":\"{cache}\"");
         }
-        match &self.status {
-            UnitStatus::Exact { period } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"exact\",\"period\":{}",
-                    period.as_deref().map_or("null".to_string(), escape_str)
-                );
-            }
-            UnitStatus::Degraded { bound, method } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"degraded\",\"bound\":{},\"method\":\"{method}\"",
-                    escape_str(bound)
-                );
-            }
-            UnitStatus::Error { message } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"error\",\"error\":{}",
-                    escape_str(message)
-                );
-            }
-        }
+        self.status.write_json(&mut out);
         if let Some(scenarios) = &self.scenarios {
             scenarios.write_json(&mut out);
         }
@@ -990,29 +999,7 @@ impl CsdfRecord {
             WorkloadKind::Csdf.token(),
             escape_str(&self.file)
         );
-        match &self.status {
-            UnitStatus::Exact { period } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"exact\",\"period\":{}",
-                    period.as_deref().map_or("null".to_string(), escape_str)
-                );
-            }
-            UnitStatus::Degraded { bound, method } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"degraded\",\"bound\":{},\"method\":\"{method}\"",
-                    escape_str(bound)
-                );
-            }
-            UnitStatus::Error { message } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"error\",\"error\":{}",
-                    escape_str(message)
-                );
-            }
-        }
+        self.status.write_json(&mut out);
         if let Some(f) = self.phase_firings {
             let _ = write!(out, ",\"phase_firings\":{f}");
         }
@@ -1112,7 +1099,10 @@ mod tests {
             indices: Some(vec![4, 6]),
         };
         let doc = req.to_json();
-        assert!(doc.starts_with("{\"schema\":\"sdfr-api/1\",\"graphs\":["), "{doc}");
+        assert!(
+            doc.starts_with("{\"schema\":\"sdfr-api/1\",\"graphs\":["),
+            "{doc}"
+        );
         let back = AnalysisRequest::from_json(&doc).unwrap();
         assert_eq!(back, req);
         assert_eq!(back.caps_budget().max_firings(), Some(500));
@@ -1154,7 +1144,10 @@ mod tests {
         assert!(!flat.tagged);
         assert!(tagged.tagged);
         assert_eq!(
-            AnalysisRequest { tagged: false, ..tagged },
+            AnalysisRequest {
+                tagged: false,
+                ..tagged
+            },
             flat
         );
     }
@@ -1166,9 +1159,8 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RequestError::UnsupportedKind(_)), "{err:?}");
-        let body =
-            ErrorBody::new("unsupported-kind", err.to_string(), EXIT_USAGE)
-                .with_supported(WorkloadKind::SUPPORTED);
+        let body = ErrorBody::new("unsupported-kind", err.to_string(), EXIT_USAGE)
+            .with_supported(WorkloadKind::SUPPORTED);
         let json = body.to_json();
         assert!(
             json.contains("\"supported\":[\"csdf\",\"sadf\",\"sdf\"],\"exit\":2"),
@@ -1301,10 +1293,7 @@ mod tests {
         let record = UnitRecord {
             workload_kind: WorkloadKind::Sadf,
             scenarios: Some(ScenarioSet {
-                periods: vec![
-                    ("fast".into(), Some("3".into())),
-                    ("slow".into(), None),
-                ],
+                periods: vec![("fast".into(), Some("3".into())), ("slow".into(), None)],
                 cycle: vec!["s0".into(), "s1".into()],
             }),
             ..UnitRecord::standalone(

@@ -128,8 +128,7 @@ fn main() {
         });
 
         let registry = SessionRegistry::new();
-        let reference =
-            analyze_workload(&w, &registry, &budget).expect("benchmark cases analyse");
+        let reference = analyze_workload(&w, &registry, &budget).expect("benchmark cases analyse");
         let warm = min_of(REPS, || {
             let t0 = Instant::now();
             let a = analyze_workload(&w, &registry, &budget).expect("benchmark cases analyse");
@@ -151,7 +150,10 @@ fn main() {
     }
 
     println!("scenario-workload benchmark (times in µs, min of {REPS} reps)\n");
-    println!("{:<22} {:>10} {:>10} {:>9}", "case", "cold", "warm", "speedup");
+    println!(
+        "{:<22} {:>10} {:>10} {:>9}",
+        "case", "cold", "warm", "speedup"
+    );
     for r in &rows {
         println!(
             "{:<22} {:>10.1} {:>10.1} {:>8.1}x",

@@ -45,17 +45,14 @@
 //! never re-derive it from `"status"`), and the summary's `"exits"` object
 //! counts units per code.
 
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
-use sdfr_analysis::registry::{Lookup, RegistryConfig, SessionRegistry};
-use sdfr_analysis::AnalysisSession;
-use sdfr_api::{BatchSummary, UnitRecord, UnitStatus};
-use sdfr_core::degrade::{analyze_with_session, conservative_period_fallback, AnalysisOutcome};
-use sdfr_graph::budget::{Budget, BudgetResource};
-use sdfr_graph::{SdfError, SdfGraph};
+use sdfr_analysis::registry::{RegistryConfig, SessionRegistry};
+use sdfr_api::BatchSummary;
+use sdfr_graph::budget::Budget;
 
-use crate::{CliError, CliErrorKind, EXIT_EXHAUSTED, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_USAGE};
+use crate::workload::{self, AnalyzedUnit};
+use crate::CliError;
 
 /// Parsed options of one `sdfr batch` invocation.
 #[derive(Debug, Clone)]
@@ -114,32 +111,11 @@ struct Unit {
     tier: Option<u64>,
 }
 
-/// One analysed unit: the `sdfr-api/1` record plus the library-level
-/// outcome (None for error units), for aggregation.
-#[derive(Debug)]
-pub(crate) struct AnalyzedUnit {
-    /// The wire record; `record.exit` carries the unit's exit code.
-    pub record: UnitRecord,
-    /// The outcome behind the record, when the analysis produced one.
-    pub outcome: Option<AnalysisOutcome>,
-    /// The registry session the unit ran against (None when the graph
-    /// itself failed to parse); the server's cache journal exports warmed
-    /// artifacts from it.
-    pub session: Option<Arc<AnalysisSession>>,
-    /// How the registry answered the lookup, for the same consumer.
-    pub lookup: Option<Lookup>,
-    /// For scenario-aware units: the per-scenario registry sessions (and
-    /// their lookups), scenario declaration order. The server's journal
-    /// persists each warmed scenario session individually — the unit has
-    /// no single graph of its own to persist.
-    pub scenario_sessions: Vec<(Arc<AnalysisSession>, Lookup)>,
-}
-
 /// Parses `sdfr batch` arguments (everything after the command word).
 ///
 /// # Errors
 ///
-/// [`CliErrorKind::Usage`] for unknown flags, malformed values, or an empty
+/// [`crate::CliErrorKind::Usage`] for unknown flags, malformed values, or an empty
 /// file list.
 pub fn parse_batch_args(args: &[String]) -> Result<BatchOptions, CliError> {
     let mut files = Vec::new();
@@ -249,28 +225,21 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
     results.resize_with(units.len(), || None);
 
     let analyze_one = |unit: &Unit| -> (String, AnalyzedUnit) {
-        // `.sadf` files are scenario-aware workloads, not single graphs;
-        // they get the workload analysis path and a kind-tagged record,
-        // so flat mixed batches keep working with no new flags.
-        let analyzed = if unit.file.ends_with(".sadf") {
-            analyze_sadf_source(
-                Some((unit.index, unit.tier)),
-                &unit.file,
-                read_sadf(&unit.file),
-                &registry,
-                &opts.budget,
-            )
-        } else {
-            analyze_source(
-                Some((unit.index, unit.tier)),
-                &unit.file,
-                crate::load_graph(&unit.file).map(Arc::new),
-                &registry,
-                &opts.budget,
-                None,
-            )
-        };
-        (analyzed.record.to_json_line(), analyzed)
+        // Each file's kind follows the name rule, so `.sadf` workloads mix
+        // into flat batches with no new flags.
+        let kind = workload::unit_kind(None, None, &unit.file)
+            .expect("without a route or a tag the name rule always decides");
+        let source = workload::load_source(kind, &unit.file);
+        let analyzed = workload::analyze_unit(
+            kind,
+            Some((unit.index, unit.tier)),
+            &unit.file,
+            &source,
+            &registry,
+            &opts.budget,
+            None,
+        );
+        (analyzed.to_json_line(), analyzed)
     };
 
     if opts.stable {
@@ -318,7 +287,7 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
         });
     }
 
-    let (summary, exit_code) = summarize(
+    let summary = summarize(
         results.iter().flatten().map(|(_, analyzed)| analyzed),
         registry.stats(),
     );
@@ -330,7 +299,7 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
     BatchReport {
         lines,
         summary: summary.to_json_line(),
-        exit_code,
+        exit_code: summary.exit,
     }
 }
 
@@ -352,13 +321,13 @@ fn unit_chunk(units: &[Unit], base: &Budget, pool: &sdfr_pool::Pool) -> usize {
 }
 
 /// Folds analysed units into the `sdfr-api/1` [`BatchSummary`] (outcome
-/// aggregate + per-exit-code counts + registry stats) and the batch exit
-/// code. Shared by `sdfr batch` and the server's `/v1/batch` endpoint —
+/// aggregate + per-exit-code counts + registry stats + the batch exit
+/// code). Shared by `sdfr batch` and the server's `/v1/batch` endpoint —
 /// one place, one schema.
 pub(crate) fn summarize<'a>(
     units: impl Iterator<Item = &'a AnalyzedUnit>,
     stats: sdfr_analysis::registry::RegistryStats,
-) -> (BatchSummary, i32) {
+) -> BatchSummary {
     let mut agg = sdfr_core::degrade::OutcomeAggregate::default();
     let mut exits = Vec::new();
     let mut kinds = Vec::new();
@@ -370,257 +339,13 @@ pub(crate) fn summarize<'a>(
         exits.push(u.record.exit);
         kinds.push(u.record.workload_kind);
     }
-    let summary = BatchSummary::new(agg, &exits, &kinds, stats);
-    let exit = summary.exit;
-    (summary, exit)
-}
-
-/// Analyses one graph source through the shared registry and builds its
-/// `sdfr-api/1` [`UnitRecord`]. This is the single unit-analysis path
-/// behind all three front-ends: `sdfr batch` passes `batch_fields`
-/// (index + tier, which also enables cache attribution), `sdfr analyze
-/// --json` and the server's single-graph `/v1/analyze` pass `None` for a
-/// standalone record, and `sdfr serve` additionally passes `wait` — the
-/// remaining response deadline.
-///
-/// With a `wait` and a cold session, the exact analysis is computed on a
-/// detached warmer thread: if it lands within the deadline the exact
-/// record is returned, otherwise the iteration-free conservative bound
-/// stands in (`"pending":true`) while the warmer keeps filling the shared
-/// session for the next request. A warm session answers immediately either
-/// way.
-pub(crate) fn analyze_source(
-    batch_fields: Option<(usize, Option<u64>)>,
-    name: &str,
-    graph: Result<Arc<SdfGraph>, CliError>,
-    registry: &SessionRegistry,
-    base: &Budget,
-    wait: Option<Duration>,
-) -> AnalyzedUnit {
-    let (index, tier) = match batch_fields {
-        Some((i, t)) => (Some(i), Some(t)),
-        None => (None, None),
-    };
-    let mut record = UnitRecord {
-        workload_kind: sdfr_api::WorkloadKind::Sdf,
-        index,
-        file: name.to_string(),
-        tier,
-        fingerprint: None,
-        cache: None,
-        pending: false,
-        status: UnitStatus::Error {
-            message: String::new(),
-        },
-        scenarios: None,
-        exit: EXIT_OK,
-    };
-
-    let budget = match tier.flatten() {
-        Some(t) => base.clone().with_max_firings(t),
-        None => base.clone(),
-    };
-    let graph = match graph {
-        Ok(g) => g,
-        Err(e) => {
-            record.exit = e.exit_code();
-            record.status = UnitStatus::Error { message: e.message };
-            return AnalyzedUnit {
-                record,
-                outcome: None,
-                session: None,
-                lookup: None,
-                scenario_sessions: Vec::new(),
-            };
-        }
-    };
-    let (session, lookup) = registry.lookup(&graph, &budget);
-    record.fingerprint = Some(session.fingerprint());
-    if batch_fields.is_some() {
-        record.cache = Some(match lookup {
-            Lookup::Hit => "hit",
-            Lookup::Miss => "miss",
-            Lookup::Bypass => "bypass",
-        });
-    }
-
-    let result = match wait {
-        Some(remaining) if !session.throughput_is_warm() => {
-            // Cold session under a response deadline: warm it on a detached
-            // thread and wait at most `remaining`. The warmer holds its own
-            // Arc, so a timed-out fill still completes and benefits the
-            // next request for this content.
-            let (tx, rx) = std::sync::mpsc::channel();
-            let warmer = Arc::clone(&session);
-            std::thread::spawn(move || {
-                let _ = tx.send(analyze_with_session(&warmer));
-            });
-            match rx.recv_timeout(remaining) {
-                Ok(result) => result,
-                Err(_) => {
-                    record.pending = true;
-                    let limit = u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX);
-                    conservative_period_fallback(session.graph()).map(|bound| {
-                        AnalysisOutcome::Degraded {
-                            exhausted: SdfError::Exhausted {
-                                resource: BudgetResource::WallClock,
-                                spent: limit,
-                                limit,
-                            },
-                            bound,
-                        }
-                    })
-                }
-            }
-        }
-        _ => analyze_with_session(&session),
-    };
-
-    match result {
-        Ok(outcome) => {
-            record.status = UnitStatus::from_outcome(&outcome);
-            AnalyzedUnit {
-                record,
-                outcome: Some(outcome),
-                session: Some(session),
-                lookup: Some(lookup),
-                scenario_sessions: Vec::new(),
-            }
-        }
-        Err(e) => {
-            let cli: CliError = e.into();
-            record.exit = cli.exit_code();
-            record.status = UnitStatus::Error {
-                message: cli.message,
-            };
-            AnalyzedUnit {
-                record,
-                outcome: None,
-                session: Some(session),
-                lookup: Some(lookup),
-                scenario_sessions: Vec::new(),
-            }
-        }
-    }
-}
-
-/// Analyses one scenario-aware (`.sadf`) source and builds its
-/// `sdfr-api/1` [`UnitRecord`] — the scenario-workload sibling of
-/// [`analyze_source`], shared by `sdfr analyze --scenarios`, `.sadf`
-/// batch units and the server's `/v1/sadf`.
-///
-/// Unlike a plain unit the record carries no fingerprint or cache
-/// attribution: a workload runs *many* registry sessions (one per
-/// scenario), so a single per-unit attribution would be arbitrary. The
-/// per-scenario sessions ride in
-/// [`AnalyzedUnit::scenario_sessions`] instead, where the server's
-/// journal persists each one individually.
-pub(crate) fn analyze_sadf_source(
-    batch_fields: Option<(usize, Option<u64>)>,
-    name: &str,
-    content: Result<String, CliError>,
-    registry: &SessionRegistry,
-    base: &Budget,
-) -> AnalyzedUnit {
-    let (index, tier) = match batch_fields {
-        Some((i, t)) => (Some(i), Some(t)),
-        None => (None, None),
-    };
-    let mut record = UnitRecord {
-        workload_kind: sdfr_api::WorkloadKind::Sadf,
-        index,
-        file: name.to_string(),
-        tier,
-        fingerprint: None,
-        cache: None,
-        pending: false,
-        status: UnitStatus::Error {
-            message: String::new(),
-        },
-        scenarios: None,
-        exit: EXIT_OK,
-    };
-    let budget = match tier.flatten() {
-        Some(t) => base.clone().with_max_firings(t),
-        None => base.clone(),
-    };
-    let error_unit = |mut record: UnitRecord, e: CliError| {
-        record.exit = e.exit_code();
-        record.status = UnitStatus::Error { message: e.message };
-        AnalyzedUnit {
-            record,
-            outcome: None,
-            session: None,
-            lookup: None,
-            scenario_sessions: Vec::new(),
-        }
-    };
-    let workload = content.and_then(|c| {
-        sdfr_sadf::Workload::from_text(&c)
-            .map_err(|e| CliError::invalid(format!("{name}: {e}")))
-    });
-    let workload = match workload {
-        Ok(w) => w,
-        Err(e) => return error_unit(record, e),
-    };
-    match sdfr_sadf::analyze_workload(&workload, registry, &budget) {
-        Ok(analysis) => {
-            record.status = UnitStatus::from_outcome(&analysis.outcome);
-            if matches!(analysis.outcome, AnalysisOutcome::Exact(_)) {
-                record.scenarios = Some(sdfr_api::ScenarioSet {
-                    periods: analysis
-                        .scenarios
-                        .iter()
-                        .map(|s| (s.name.clone(), s.eigenvalue.map(|p| p.to_string())))
-                        .collect(),
-                    cycle: analysis.cycle.clone(),
-                });
-            }
-            AnalyzedUnit {
-                record,
-                outcome: Some(analysis.outcome),
-                session: None,
-                lookup: None,
-                scenario_sessions: analysis.sessions,
-            }
-        }
-        Err(e) => {
-            let exit = match &e {
-                sdfr_sadf::SadfError::Graph(SdfError::Exhausted { .. }) => EXIT_EXHAUSTED,
-                _ => EXIT_INVALID,
-            };
-            error_unit(
-                record,
-                CliError {
-                    kind: kind_for_exit(exit),
-                    message: format!("{name}: {e}"),
-                },
-            )
-        }
-    }
-}
-
-/// Reads a `.sadf` workload file for [`analyze_sadf_source`], mapping
-/// read failures to exit-3 error records like [`crate::load_graph`].
-pub(crate) fn read_sadf(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))
-}
-
-/// Maps a per-unit (or server-reported) exit code back to the
-/// [`CliErrorKind`] carrying it.
-pub(crate) fn kind_for_exit(code: i32) -> CliErrorKind {
-    match code {
-        EXIT_USAGE => CliErrorKind::Usage,
-        EXIT_IO => CliErrorKind::Io,
-        EXIT_EXHAUSTED => CliErrorKind::Exhausted,
-        EXIT_INVALID => CliErrorKind::Invalid,
-        _ => CliErrorKind::Internal,
-    }
+    BatchSummary::new(agg, &exits, &kinds, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CliErrorKind;
 
     #[test]
     fn parse_rejects_bad_args() {
@@ -700,67 +425,5 @@ mod tests {
         // An uncapped tier under a capped base budget uses the base cost.
         let base = Budget::unlimited().with_max_firings(16);
         assert!(unit_chunk(&mixed, &base, &pool) > 1);
-    }
-
-    #[test]
-    fn kind_mapping_covers_every_exit() {
-        assert_eq!(kind_for_exit(1), CliErrorKind::Invalid);
-        assert_eq!(kind_for_exit(2), CliErrorKind::Usage);
-        assert_eq!(kind_for_exit(3), CliErrorKind::Io);
-        assert_eq!(kind_for_exit(4), CliErrorKind::Exhausted);
-        assert_eq!(kind_for_exit(70), CliErrorKind::Internal);
-        assert_eq!(kind_for_exit(99), CliErrorKind::Internal);
-    }
-
-    #[test]
-    fn cold_session_under_a_tiny_deadline_answers_pending() {
-        // Large enough that the symbolic iteration cannot land inside a
-        // zero deadline, small enough that the detached warmer finishes
-        // promptly after the test.
-        let mut b = SdfGraph::builder("huge");
-        let x = b.actor("x", 1);
-        let y = b.actor("y", 1);
-        b.channel(x, y, 1_000_000, 1, 0).unwrap();
-        let g = Arc::new(b.build().unwrap());
-        let registry = SessionRegistry::new();
-        let analyzed = analyze_source(
-            None,
-            "huge.sdf",
-            Ok(g),
-            &registry,
-            &Budget::unlimited(),
-            Some(Duration::ZERO),
-        );
-        assert!(analyzed.record.pending, "{:?}", analyzed.record);
-        assert_eq!(analyzed.record.exit, 0);
-        assert!(matches!(
-            analyzed.record.status,
-            UnitStatus::Degraded { .. }
-        ));
-        // A warm session answers exactly even under a zero-ish deadline.
-        let mut b = SdfGraph::builder("c");
-        let x = b.actor("x", 2);
-        let y = b.actor("y", 3);
-        b.channel(x, y, 1, 1, 0).unwrap();
-        b.channel(y, x, 1, 1, 1).unwrap();
-        let g = Arc::new(b.build().unwrap());
-        let (s, _) = registry.lookup(&g, &Budget::unlimited());
-        let _ = s.throughput().unwrap();
-        assert!(s.throughput_is_warm());
-        let analyzed = analyze_source(
-            None,
-            "c.sdf",
-            Ok(g),
-            &registry,
-            &Budget::unlimited(),
-            Some(Duration::from_millis(0)),
-        );
-        assert!(!analyzed.record.pending);
-        assert_eq!(
-            analyzed.record.status,
-            UnitStatus::Exact {
-                period: Some("5".into())
-            }
-        );
     }
 }

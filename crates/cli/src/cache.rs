@@ -426,18 +426,19 @@ pub(crate) fn rebuild_session(
     Ok((session, checkpoint))
 }
 
-/// Converts one warmed unit into its journal record, or `None` when the
-/// unit is not persistable: only headline outcomes that are pure functions
-/// of `(content, caps)` — an eigenvalue or a firings/size exhaustion — are
-/// worth journal bytes. Anything else (still cold, graph-level errors that
-/// are cheap to rediscover) is skipped.
+/// Converts one warmed session into its journal record under `name` and
+/// `content`, keyed by the session's own caps, with its engine checkpoint
+/// when one exists. `None` when the session is not persistable: only
+/// headline outcomes that are pure functions of `(content, caps)` — an
+/// eigenvalue or a firings/size exhaustion — are worth journal bytes.
+/// Anything else (still cold, graph-level errors that are cheap to
+/// rediscover) is skipped.
 pub(crate) fn record_for(
     name: &str,
     content: &str,
-    budget: &Budget,
-    artifacts: &SessionArtifacts,
-    engine: Option<String>,
+    session: &AnalysisSession,
 ) -> Option<CacheRecord> {
+    let artifacts = session.export_artifacts()?;
     let outcome = match &artifacts.eigenvalue {
         Ok(Some(r)) => CachedOutcome::Period {
             num: r.numer(),
@@ -464,14 +465,14 @@ pub(crate) fn record_for(
     };
     Some(CacheRecord {
         fingerprint: artifacts.fingerprint,
-        max_firings: budget.max_firings(),
-        max_size: budget.max_size(),
+        max_firings: session.budget().max_firings(),
+        max_size: session.budget().max_size(),
         name: name.to_string(),
         content: content.to_string(),
         outcome,
         spent: artifacts.spent,
         schedule_firings: artifacts.schedule_firings,
-        engine,
+        engine: session.engine_archive().and_then(|a| a.encode()),
     })
 }
 
@@ -494,14 +495,7 @@ mod tests {
         let graph = crate::parse_graph_content("demo.sdf", demo_content()).unwrap();
         let session = AnalysisSession::new(graph);
         let _ = session.throughput().unwrap();
-        record_for(
-            "demo.sdf",
-            demo_content(),
-            &Budget::unlimited(),
-            &session.export_artifacts().unwrap(),
-            session.engine_archive().and_then(|a| a.encode()),
-        )
-        .unwrap()
+        record_for("demo.sdf", demo_content(), &session).unwrap()
     }
 
     #[test]
@@ -738,18 +732,11 @@ mod tests {
         let graph = Arc::new(crate::parse_graph_content("demo.sdf", demo_content()).unwrap());
         // Still cold: nothing to persist.
         let cold = AnalysisSession::new(Arc::clone(&graph));
-        assert!(cold.export_artifacts().is_none());
+        assert!(record_for("demo.sdf", demo_content(), &cold).is_none());
         // Exhausted on firings: persisted as the exhaustion itself.
         let capped = AnalysisSession::with_budget(graph, Budget::unlimited().with_max_firings(1));
         let _ = capped.throughput().unwrap_err();
-        let record = record_for(
-            "demo.sdf",
-            demo_content(),
-            capped.budget(),
-            &capped.export_artifacts().unwrap(),
-            None,
-        )
-        .unwrap();
+        let record = record_for("demo.sdf", demo_content(), &capped).unwrap();
         assert!(matches!(
             record.outcome,
             CachedOutcome::Exhausted {

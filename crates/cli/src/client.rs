@@ -39,9 +39,9 @@ use std::time::{Duration, Instant};
 
 use sdfr_api::json::{self, Value};
 use sdfr_api::shards::ShardMap;
-use sdfr_api::{AnalysisRequest, BatchSummary, GraphSource};
+use sdfr_api::{AnalysisRequest, BatchSummary, GraphSource, WorkloadKind};
 
-use crate::{batch, CliError, EXIT_OK, EXIT_PANIC};
+use crate::{batch, workload, CliError, EXIT_OK, EXIT_PANIC};
 
 /// The client-side retry discipline, from the global `--retries` /
 /// `--retry-budget-ms` flags.
@@ -138,6 +138,65 @@ pub(crate) fn with_json_flag(mut args: Vec<String>) -> Vec<String> {
     args
 }
 
+/// A request [`send`] could not complete.
+#[derive(Debug)]
+struct SendError {
+    /// Whether any attempt connected. Only a server that was never reached
+    /// may be replaced by in-process analysis: once one answered, the
+    /// request may have been seen, and its verdict is the server's.
+    connected: bool,
+    /// The last attempt's failure.
+    message: String,
+}
+
+/// Sends one request to `addr` under the retry discipline of the module
+/// docs and returns the final `(status, body)` — a shed that outlasts the
+/// retries comes back as a value, so a fleet caller can fail over on it.
+/// Failed connects and `429`/`503` sheds are always retried; transport
+/// failures after the request went out only when it is `idempotent`.
+/// `failover` sends `X-Sdfr-Failover`, which lets a sharded server answer
+/// for fingerprints it does not own.
+fn send(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+    idempotent: bool,
+    failover: bool,
+    policy: &RetryPolicy,
+) -> Result<(u16, String), SendError> {
+    let start = Instant::now();
+    let mut connected = false;
+    let mut attempt = 0u32;
+    loop {
+        let (retryable, message) = match TcpStream::connect(addr) {
+            // Nothing was sent: retryable for every request.
+            Err(e) => (true, format!("connect: {e}")),
+            Ok(stream) => {
+                connected = true;
+                match exchange(stream, addr, method, path, body, attempt, failover, policy) {
+                    Ok((status, retry_after, body)) => {
+                        if (status == 429 || status == 503)
+                            && attempt < policy.retries
+                            && sleep_retry_after(retry_after, start, policy)
+                        {
+                            attempt += 1;
+                            continue;
+                        }
+                        return Ok((status, body));
+                    }
+                    Err(e) => (idempotent, e),
+                }
+            }
+        };
+        if retryable && attempt < policy.retries && sleep_backoff(attempt, start, policy) {
+            attempt += 1;
+            continue;
+        }
+        return Err(SendError { connected, message });
+    }
+}
+
 /// `sdfr stats --server A` / `sdfr shutdown --server A`. No in-process
 /// fallback: an unreachable server is an I/O error (exit 3). `stats` is
 /// idempotent and retries transport failures; `shutdown` retries only
@@ -148,128 +207,43 @@ pub(crate) fn cmd_control(
     command: &str,
     policy: &RetryPolicy,
 ) -> Result<String, CliError> {
-    let (method, path, idempotent) = if command == "stats" {
-        ("GET", "/v1/stats", true)
+    let (method, path) = if command == "stats" {
+        ("GET", "/v1/stats")
     } else {
-        ("POST", "/shutdown", false)
+        ("POST", "/shutdown")
     };
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        let outcome = match TcpStream::connect(addr) {
-            Ok(stream) => exchange(stream, addr, method, path, "", attempt, false, policy),
-            Err(e) => {
-                // Nothing was sent: retryable for every command.
-                if attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                    attempt += 1;
-                    continue;
-                }
-                return Err(CliError::io(format!("{command}: {addr}: {e}")));
-            }
-        };
-        match outcome {
-            Ok((status, retry_after, body)) => {
-                if (status == 429 || status == 503)
-                    && attempt < policy.retries
-                    && sleep_retry_after(retry_after, start, policy)
-                {
-                    attempt += 1;
-                    continue;
-                }
-                return finish(status, body);
-            }
-            Err(e) => {
-                if idempotent && attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                    attempt += 1;
-                    continue;
-                }
-                return Err(CliError::io(format!("{command}: {addr}: {e}")));
-            }
-        }
-    }
+    let (status, body) = send(addr, method, path, "", command == "stats", false, policy)
+        .map_err(|e| CliError::io(format!("{command}: {addr}: {}", e.message)))?;
+    finish(status, body)
 }
 
 /// Runs `analyze`/`batch`/`csdf` against the server at `addr`.
 ///
 /// # Errors
 ///
-/// The outer `Err(String)` is a failed connect (after its backoff retries)
-/// — the only condition the caller answers with in-process fallback.
-/// Everything after a successful connect (bad arguments, unreadable files,
-/// protocol errors that exhaust their retries, nonzero server verdicts) is
-/// the inner [`CliError`] and final.
+/// The outer `Err(String)` is a server that never accepted a connection
+/// (after its backoff retries) — the only condition the caller answers
+/// with in-process fallback. Everything else (bad arguments, unreadable
+/// files, failures after a connect, nonzero server verdicts) is the inner
+/// [`CliError`] and final.
 pub(crate) fn run_remote(
     addr: &str,
     args: &[String],
     policy: &RetryPolicy,
 ) -> Result<Result<String, CliError>, String> {
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    let stream = loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) => {
-                if attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e.to_string());
-            }
-        }
+    let (path, request) = match build_request(args) {
+        Ok(built) => built,
+        Err(e) => return Ok(Err(e)),
     };
-    Ok(remote_command(stream, addr, args, policy, start, attempt))
-}
-
-/// Builds the request for one command line and completes the exchange,
-/// retrying transient failures — all three analysis commands are
-/// idempotent questions, so a re-send can never double-apply an effect.
-fn remote_command(
-    stream: TcpStream,
-    addr: &str,
-    args: &[String],
-    policy: &RetryPolicy,
-    start: Instant,
-    mut attempt: u32,
-) -> Result<String, CliError> {
-    let command = args[0].as_str();
-    let (path, request) = build_request(args)?;
-    let payload = request.to_json();
-    let mut stream = Some(stream);
-    loop {
-        let connected = match stream.take() {
-            Some(s) => s,
-            None => match TcpStream::connect(addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    if attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                        attempt += 1;
-                        continue;
-                    }
-                    return Err(CliError::io(format!("{command}: {addr}: {e}")));
-                }
-            },
-        };
-        match exchange(
-            connected, addr, "POST", path, &payload, attempt, false, policy,
-        ) {
-            Ok((status, retry_after, body)) => {
-                if (status == 429 || status == 503)
-                    && attempt < policy.retries
-                    && sleep_retry_after(retry_after, start, policy)
-                {
-                    attempt += 1;
-                    continue;
-                }
-                return finish(status, body);
-            }
-            Err(e) => {
-                if attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                    attempt += 1;
-                    continue;
-                }
-                return Err(CliError::io(format!("{command}: {addr}: {e}")));
-            }
-        }
+    // All three analysis commands are idempotent questions, so a re-send
+    // can never double-apply an effect.
+    match send(addr, "POST", path, &request.to_json(), true, false, policy) {
+        Ok((status, body)) => Ok(finish(status, body)),
+        Err(e) if !e.connected => Err(e.message),
+        Err(e) => Ok(Err(CliError::io(format!(
+            "{}: {addr}: {}",
+            args[0], e.message
+        )))),
     }
 }
 
@@ -279,63 +253,51 @@ fn remote_command(
 /// router (which re-partitions the request but builds it identically).
 fn build_request(args: &[String]) -> Result<(&'static str, AnalysisRequest), CliError> {
     let command = args[0].as_str();
-    Ok(match command {
-        "batch" => {
-            let opts = batch::parse_batch_args(&args[1..])?;
-            let graphs = opts
-                .files
-                .iter()
-                .map(|f| read_source(f))
-                .collect::<Result<Vec<_>, _>>()?;
-            (
-                "/v1/batch",
-                AnalysisRequest {
-                    graphs,
-                    tiers: opts.tiers,
-                    deadline_ms: deadline_ms(&args[1..])?,
-                    max_firings: opts.budget.max_firings(),
-                    max_size: opts.budget.max_size(),
-                    indices: None,
-                    ..AnalysisRequest::default()
-                },
-            )
-        }
-        // analyze, csdf and scenario analyze share the single-file
-        // request shape.
-        _ => {
-            let file = args
-                .get(1)
-                .filter(|a| !a.starts_with('-'))
-                .ok_or_else(|| CliError::usage(format!("{command}: missing <file>")))?;
-            let opts = &args[2..];
-            let budget = crate::budget_from_opts(opts)?;
+    if command == "batch" {
+        let opts = batch::parse_batch_args(&args[1..])?;
+        let graphs = opts
+            .files
+            .iter()
+            .map(|f| read_source(f))
+            .collect::<Result<Vec<_>, _>>()?;
+        return Ok((
+            "/v1/batch",
+            AnalysisRequest {
+                graphs,
+                tiers: opts.tiers,
+                deadline_ms: deadline_ms(&args[1..])?,
+                max_firings: opts.budget.max_firings(),
+                max_size: opts.budget.max_size(),
+                indices: None,
+                ..AnalysisRequest::default()
+            },
+        ));
+    }
+    // analyze, csdf and scenario analyze share the single-file request
+    // shape; the kind picks the route.
+    let file = args
+        .get(1)
+        .filter(|a| !a.starts_with('-'))
+        .ok_or_else(|| CliError::usage(format!("{command}: missing <file>")))?;
+    let opts = &args[2..];
+    let budget = crate::budget_from_opts(opts)?;
+    let kind = workload::unit_kind(workload::command_kind(command, opts), None, file)?;
+    Ok((
+        workload::route(kind),
+        AnalysisRequest {
+            kind,
             // Scenario workloads ride the newer tagged request shape;
             // plain analyze/csdf keep the flat shape so this client stays
             // byte-compatible with pre-workload servers.
-            let scenarios = command == "analyze"
-                && (opts.iter().any(|a| a == "--scenarios") || file.ends_with(".sadf"));
-            let (path, kind, tagged) = if scenarios {
-                ("/v1/sadf", sdfr_api::WorkloadKind::Sadf, true)
-            } else if command == "csdf" {
-                ("/v1/csdf", sdfr_api::WorkloadKind::Sdf, false)
-            } else {
-                ("/v1/analyze", sdfr_api::WorkloadKind::Sdf, false)
-            };
-            (
-                path,
-                AnalysisRequest {
-                    kind,
-                    tagged,
-                    graphs: vec![read_source(file)?],
-                    tiers: Vec::new(),
-                    deadline_ms: deadline_ms(opts)?,
-                    max_firings: budget.max_firings(),
-                    max_size: budget.max_size(),
-                    indices: None,
-                },
-            )
-        }
-    })
+            tagged: kind == WorkloadKind::Sadf,
+            graphs: vec![read_source(file)?],
+            tiers: Vec::new(),
+            deadline_ms: deadline_ms(opts)?,
+            max_firings: budget.max_firings(),
+            max_size: budget.max_size(),
+            indices: None,
+        },
+    ))
 }
 
 /// Reads one graph file into an inline [`GraphSource`]. Unlike the
@@ -343,11 +305,9 @@ fn build_request(args: &[String]) -> Result<(&'static str, AnalysisRequest), Cli
 /// and keeps going), the remote client needs the content up front, so a
 /// read failure fails the invocation with exit 3 before anything is sent.
 fn read_source(path: &str) -> Result<GraphSource, CliError> {
-    let content =
-        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
     Ok(GraphSource {
         name: path.to_string(),
-        content,
+        content: crate::read_file(path)?,
     })
 }
 
@@ -371,7 +331,7 @@ fn deadline_ms(opts: &[String]) -> Result<Option<u64>, CliError> {
 /// — a short body (a crash or injected fault mid-response) is a transport
 /// error, not a truncated answer handed to the user.
 #[allow(clippy::too_many_arguments)]
-fn exchange(
+pub(crate) fn exchange(
     mut stream: TcpStream,
     addr: &str,
     method: &str,
@@ -469,14 +429,7 @@ fn finish(status: u16, body: String) -> Result<String, CliError> {
     } else {
         EXIT_PANIC
     });
-    if exit == EXIT_OK {
-        Ok(body)
-    } else {
-        Err(CliError {
-            kind: batch::kind_for_exit(exit),
-            message: body,
-        })
-    }
+    crate::exit_output(exit, body)
 }
 
 // ---------------------------------------------------------------------------
@@ -536,14 +489,16 @@ pub(crate) fn run_sharded(
     }
 }
 
-/// The routing fingerprint of a graph source: the graph's own fingerprint
-/// when the content parses — exactly what the owning server will compute —
-/// else FNV-1a over the raw bytes. Unparseable sources produce identical
-/// error records on every shard, so for them any *deterministic*
-/// placement is correct.
-fn routing_fingerprint(source: &GraphSource) -> u64 {
-    if let Ok(g) = crate::parse_graph_content(&source.name, &source.content) {
-        return g.fingerprint();
+/// The routing fingerprint of a `kind` source: the fingerprint the owning
+/// server computes from the same parse when the source has one, else
+/// FNV-1a over the raw bytes. Servers accept sources without a
+/// fingerprint anywhere, and unparseable sources produce identical error
+/// records on every shard, so for them any *deterministic* placement is
+/// correct.
+fn routing_fingerprint(kind: WorkloadKind, source: &GraphSource) -> u64 {
+    let parsed = workload::parse_source(kind, &source.name, &source.content);
+    if let Some(fp) = parsed.ok().and_then(|s| s.fingerprint()) {
+        return fp;
     }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in source.content.bytes() {
@@ -583,7 +538,7 @@ fn batch_sharded(
     let mut pending = Vec::with_capacity(opts.files.len());
     for (i, file) in opts.files.iter().enumerate() {
         let source = read_source(file)?;
-        let fp = routing_fingerprint(&source);
+        let fp = routing_fingerprint(workload::unit_kind(None, None, file)?, &source);
         pending.push(BatchJob {
             route: map.route(fp),
             source,
@@ -614,7 +569,15 @@ fn batch_sharded(
             ..AnalysisRequest::default()
         };
         let peer = map.peer(target);
-        match fleet_exchange(peer, "/v1/batch", &request.to_json(), failover, policy) {
+        match send(
+            peer,
+            "POST",
+            "/v1/batch",
+            &request.to_json(),
+            true,
+            failover,
+            policy,
+        ) {
             Ok((421, body)) => return Err(shard_map_disagreement(target, peer, &body)),
             Ok((503, body)) => requeue(
                 &mut pending,
@@ -646,7 +609,7 @@ fn batch_sharded(
                     return finish(status, body);
                 }
             }
-            Err(e) => requeue(&mut pending, group, map, target, &e)?,
+            Err(e) => requeue(&mut pending, group, map, target, &e.message)?,
         }
     }
     lines.sort_by_key(|&(index, _)| index);
@@ -697,13 +660,13 @@ fn single_sharded(
 ) -> Result<String, CliError> {
     let command = args[0].clone();
     let (path, request) = build_request(args)?;
-    let fp = routing_fingerprint(&request.graphs[0]);
+    let fp = routing_fingerprint(request.kind, &request.graphs[0]);
     let payload = request.to_json();
     let route = map.route(fp);
     let mut last_err = String::new();
     for (pos, &target) in route.iter().enumerate() {
         let peer = map.peer(target);
-        match fleet_exchange(peer, path, &payload, pos > 0, policy) {
+        match send(peer, "POST", path, &payload, true, pos > 0, policy) {
             Ok((421, body)) => return Err(shard_map_disagreement(target, peer, &body)),
             Ok((503, body)) => {
                 last_err = format!("shard {target} ({peer}) shed with 503: {}", body.trim());
@@ -711,7 +674,7 @@ fn single_sharded(
             }
             Ok((status, body)) => return finish(status, body),
             Err(e) => {
-                last_err = format!("shard {target} ({peer}): {e}");
+                last_err = format!("shard {target} ({peer}): {}", e.message);
                 eprintln!("sdfr: {last_err}; failing over to the ring successor");
             }
         }
@@ -732,55 +695,6 @@ fn shard_map_disagreement(shard: u32, peer: &str, body: &str) -> CliError {
          --peers list?\n{}",
         body.trim()
     ))
-}
-
-/// One routed exchange with a fleet shard, retried like the single-server
-/// client (backoff on transport failures, `Retry-After` on sheds). The
-/// caller sees either the final `(status, body)` — a terminal 503 comes
-/// back as a value, because its next step is *failover*, not failure — or
-/// a transport error string after the retries ran out.
-fn fleet_exchange(
-    peer: &str,
-    path: &str,
-    payload: &str,
-    failover: bool,
-    policy: &RetryPolicy,
-) -> Result<(u16, String), String> {
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        let stream = match TcpStream::connect(peer) {
-            Ok(s) => s,
-            Err(e) => {
-                if attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                    attempt += 1;
-                    continue;
-                }
-                return Err(format!("connect: {e}"));
-            }
-        };
-        match exchange(
-            stream, peer, "POST", path, payload, attempt, failover, policy,
-        ) {
-            Ok((status, retry_after, body)) => {
-                if (status == 429 || status == 503)
-                    && attempt < policy.retries
-                    && sleep_retry_after(retry_after, start, policy)
-                {
-                    attempt += 1;
-                    continue;
-                }
-                return Ok((status, body));
-            }
-            Err(e) => {
-                if attempt < policy.retries && sleep_backoff(attempt, start, policy) {
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

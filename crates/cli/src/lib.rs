@@ -41,6 +41,7 @@ mod cache;
 mod client;
 pub mod http;
 pub mod serve;
+mod workload;
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -50,6 +51,7 @@ use sdfr_analysis::latency::periodic_source_latency;
 use sdfr_analysis::static_schedule::rate_optimal_schedule_with_budget;
 use sdfr_analysis::throughput::throughput;
 use sdfr_analysis::AnalysisSession;
+use sdfr_api::WorkloadKind;
 use sdfr_core::auto::auto_abstraction;
 use sdfr_core::conservativity::{conservative_period_bound, verify_abstraction};
 use sdfr_core::degrade::conservative_period_fallback;
@@ -95,7 +97,7 @@ pub enum CliErrorKind {
 
 /// Errors surfaced to the user, with a [`CliErrorKind`] selecting the
 /// process exit code.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CliError {
     /// Classification, mapped to an exit code by [`CliError::exit_code`].
     pub kind: CliErrorKind,
@@ -118,7 +120,7 @@ impl CliError {
         }
     }
 
-    fn invalid(message: impl Into<String>) -> Self {
+    pub(crate) fn invalid(message: impl Into<String>) -> Self {
         CliError {
             kind: CliErrorKind::Invalid,
             message: message.into(),
@@ -276,9 +278,9 @@ SERVE OPTIONS:
                      shard owns: 'reject' (default) answers 421 with a
                      redirect record naming the owner; 'proxy' forwards
                      the request there and relays the answer
-  --fault SPEC       test-only fault injection (also: SDFR_FAULT env var,
-                     the flag wins): comma-separated accept-delay=MS,
-                     mid-response-close=N, torn-write=N, slow-loris=MS
+  --fault SPEC       test-only fault injection: comma-separated
+                     accept-delay=MS, mid-response-close=N, torn-write=N,
+                     slow-loris=MS
   <file>...          graphs to prefetch into the registry at startup
 
 Under a budget, `analyze` degrades gracefully: if the exact analysis is
@@ -295,8 +297,8 @@ EXIT CODES:
 
 FILES: `.xml` files are parsed as the SDF3 subset, anything else as the
 text format (a leading '<' also selects XML). `.sadf` files are
-scenario-aware workloads — `analyze` and `batch` route them through the
-scenario analysis automatically.
+scenario-aware workloads — `analyze`, `batch` and `--server` route them
+through the scenario analysis automatically.
 ";
 
 /// Parses a graph from a file, auto-detecting the format.
@@ -305,24 +307,42 @@ scenario analysis automatically.
 ///
 /// I/O and parse errors, stringified for the user.
 pub fn load_graph(path: &str) -> Result<SdfGraph, CliError> {
-    let content =
-        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
-    parse_graph_content(path, &content)
+    parse_graph_content(path, &read_file(path)?)
+}
+
+/// Reads a whole input file; a failure is an I/O error naming the path.
+pub(crate) fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))
+}
+
+/// The format auto-detection every graph reader shares: a `.xml` name or
+/// a leading `<` selects the SDF3 subset, anything else the text format.
+fn looks_xml(name: &str, content: &str) -> bool {
+    name.ends_with(".xml") || content.trim_start().starts_with('<')
 }
 
 /// Parses a graph from in-memory content with the same format
-/// auto-detection as [`load_graph`]: a `.xml` name or a leading `<`
-/// selects the SDF3 subset, anything else the text format. The server
-/// analyses inline request content through this — names in requests are
-/// display labels, never opened as paths.
+/// auto-detection as [`load_graph`]. The server analyses inline request
+/// content through this — names in requests are display labels, never
+/// opened as paths.
 pub(crate) fn parse_graph_content(name: &str, content: &str) -> Result<SdfGraph, CliError> {
-    let looks_xml = name.ends_with(".xml") || content.trim_start().starts_with('<');
-    let g = if looks_xml {
+    Ok(if looks_xml(name, content) {
         sdfr_io::xml::from_xml(content)?
     } else {
         sdfr_io::text::from_text(content)?
-    };
-    Ok(g)
+    })
+}
+
+/// Parses a cyclo-static graph with the same format auto-detection.
+pub(crate) fn parse_csdf_content(
+    name: &str,
+    content: &str,
+) -> Result<sdfr_csdf::CsdfGraph, CliError> {
+    Ok(if looks_xml(name, content) {
+        sdfr_io::csdf::from_xml(content)?
+    } else {
+        sdfr_io::csdf::from_text(content)?
+    })
 }
 
 /// Runs one CLI invocation; `args` excludes the program name. Writes the
@@ -406,15 +426,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     };
     let opts = &args[2..];
     let budget = budget_from_opts(opts)?;
-    if command == "csdf" {
-        return cmd_csdf(path, opts);
-    }
-    if command == "analyze" && (opts.iter().any(|o| o == "--scenarios") || path.ends_with(".sadf"))
-    {
-        return cmd_analyze_sadf(path, opts, &budget);
-    }
-    if command == "analyze" && opts.iter().any(|o| o == "--json") {
-        return cmd_analyze_json(path, &budget);
+    if matches!(command.as_str(), "analyze" | "csdf") {
+        let kind = workload::unit_kind(workload::command_kind(command, opts), None, path)?;
+        if opts.iter().any(|o| o == "--json") {
+            return cmd_record(kind, path, &budget);
+        }
+        match kind {
+            WorkloadKind::Csdf => return cmd_csdf(path, opts),
+            WorkloadKind::Sadf => return cmd_analyze_sadf(path, &budget),
+            WorkloadKind::Sdf => {}
+        }
     }
     let g = load_graph(path)?;
 
@@ -521,45 +542,51 @@ fn extract_globals(args: &[String]) -> Result<Globals, CliError> {
     })
 }
 
+/// `analyze --json`, `analyze --scenarios --json` and `csdf --json`: one
+/// standalone `sdfr-api/1` record line — byte-identical to what the
+/// server's route for the same kind returns for the same source and caps.
+/// A record with a nonzero exit code travels in the error (stderr, like a
+/// failing `--stable` batch report) so the process exit matches the
+/// record's.
+fn cmd_record(kind: WorkloadKind, path: &str, budget: &Budget) -> Result<String, CliError> {
+    let registry = sdfr_analysis::registry::SessionRegistry::new();
+    let source = workload::load_source(kind, path);
+    let unit = workload::analyze_unit(kind, None, path, &source, &registry, budget, None);
+    exit_output(unit.record.exit, unit.to_json_line() + "\n")
+}
+
 /// `sdfr analyze --scenarios` (auto-selected for `.sadf` files): one
 /// scenario-aware workload — named SDF scenarios plus a scenario FSM —
 /// analysed as a worst-case maximum-cycle-mean problem over the FSM's
-/// max-plus state-space lattice. `--json` emits the standalone
-/// `sdfr-api/1` record (workload kind `sadf`, with the `"scenarios"`
-/// sub-object), byte-identical to the server's `/v1/sadf`; otherwise a
-/// human report with per-scenario periods and the critical FSM cycle.
-fn cmd_analyze_sadf(path: &str, opts: &[String], budget: &Budget) -> Result<String, CliError> {
+/// max-plus state-space lattice, reported with per-scenario periods and
+/// the critical FSM cycle.
+fn cmd_analyze_sadf(path: &str, budget: &Budget) -> Result<String, CliError> {
     let registry = sdfr_analysis::registry::SessionRegistry::new();
-    let analyzed =
-        batch::analyze_sadf_source(None, path, batch::read_sadf(path), &registry, budget);
-    let record = &analyzed.record;
-    if opts.iter().any(|o| o == "--json") {
-        let mut line = record.to_json_line();
-        line.push('\n');
-        if record.exit != EXIT_OK {
-            return Err(CliError {
-                kind: batch::kind_for_exit(record.exit),
-                message: line,
-            });
-        }
-        return Ok(line);
-    }
+    let source = workload::load_source(WorkloadKind::Sadf, path);
+    let record = workload::analyze_unit(
+        WorkloadKind::Sadf,
+        None,
+        path,
+        &source,
+        &registry,
+        budget,
+        None,
+    )
+    .record;
     let mut out = format!("scenario-aware workload: {path}\n");
     match &record.status {
         sdfr_api::UnitStatus::Exact { period } => {
             let _ = writeln!(
                 out,
                 "worst-case iteration period: {}",
-                period.as_deref().unwrap_or("none (no recurrent constraint)")
+                period
+                    .as_deref()
+                    .unwrap_or("none (no recurrent constraint)")
             );
             if let Some(scenarios) = &record.scenarios {
                 out.push_str("per-scenario periods:\n");
                 for (name, period) in &scenarios.periods {
-                    let _ = writeln!(
-                        out,
-                        "  {name}: {}",
-                        period.as_deref().unwrap_or("none")
-                    );
+                    let _ = writeln!(out, "  {name}: {}", period.as_deref().unwrap_or("none"));
                 }
                 if !scenarios.cycle.is_empty() {
                     let _ = writeln!(
@@ -577,39 +604,29 @@ fn cmd_analyze_sadf(path: &str, opts: &[String], budget: &Budget) -> Result<Stri
             );
         }
         sdfr_api::UnitStatus::Error { message } => {
-            return Err(CliError {
-                kind: batch::kind_for_exit(record.exit),
-                message: message.clone(),
-            });
+            return exit_output(record.exit, message.clone());
         }
     }
     Ok(out)
 }
 
-/// `sdfr analyze --json`: one standalone `sdfr-api/1` [`sdfr_api::UnitRecord`]
-/// line — byte-identical to what a server's `/v1/analyze` returns for the
-/// same graph and caps. A record with a nonzero exit code travels in the
-/// error (stderr, like a failing `--stable` batch report) so the process
-/// exit matches the record's.
-fn cmd_analyze_json(path: &str, budget: &Budget) -> Result<String, CliError> {
-    let registry = sdfr_analysis::registry::SessionRegistry::new();
-    let analyzed = batch::analyze_source(
-        None,
-        path,
-        load_graph(path).map(std::sync::Arc::new),
-        &registry,
-        budget,
-        None,
-    );
-    let mut line = analyzed.record.to_json_line();
-    line.push('\n');
-    if analyzed.record.exit != EXIT_OK {
-        return Err(CliError {
-            kind: batch::kind_for_exit(analyzed.record.exit),
-            message: line,
-        });
-    }
-    Ok(line)
+/// Output that carries exit code `exit`: stdout on success; otherwise the
+/// text travels in the error (stderr) and the process exits with `exit` —
+/// how a failing record, server response or `--stable` batch report
+/// surfaces.
+pub(crate) fn exit_output(exit: i32, text: String) -> Result<String, CliError> {
+    let kind = match exit {
+        EXIT_OK => return Ok(text),
+        EXIT_USAGE => CliErrorKind::Usage,
+        EXIT_IO => CliErrorKind::Io,
+        EXIT_EXHAUSTED => CliErrorKind::Exhausted,
+        EXIT_INVALID => CliErrorKind::Invalid,
+        _ => CliErrorKind::Internal,
+    };
+    Err(CliError {
+        kind,
+        message: text,
+    })
 }
 
 /// Builds the resource [`Budget`] from the global `--deadline`,
@@ -946,47 +963,18 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
         println!("{}", report.summary);
         report
     };
-    if report.exit_code != EXIT_OK {
-        // The numerically largest per-unit code is also the most severe
-        // (0 < 1 invalid < 3 io < 4 exhausted).
-        return Err(CliError {
-            kind: batch::kind_for_exit(report.exit_code),
-            message: if opts.stable {
-                report.text()
-            } else {
-                report.summary
-            },
-        });
-    }
-    Ok(if opts.stable {
-        report.text()
+    // The numerically largest per-unit code is also the most severe
+    // (0 < 1 invalid < 3 io < 4 exhausted).
+    if opts.stable {
+        exit_output(report.exit_code, report.text())
     } else {
-        String::new()
-    })
+        exit_output(report.exit_code, report.summary).map(|_| String::new())
+    }
 }
 
 /// Analyses a cyclo-static file: consistency, throughput, HSDF reduction.
 fn cmd_csdf(path: &str, opts: &[String]) -> Result<String, CliError> {
-    let content =
-        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
-    if opts.iter().any(|o| o == "--json") {
-        let record = csdf_record(path, &content);
-        let mut line = record.to_json_line();
-        line.push('\n');
-        if record.exit != EXIT_OK {
-            return Err(CliError {
-                kind: batch::kind_for_exit(record.exit),
-                message: line,
-            });
-        }
-        return Ok(line);
-    }
-    let looks_xml = path.ends_with(".xml") || content.trim_start().starts_with('<');
-    let g = if looks_xml {
-        sdfr_io::csdf::from_xml(&content)?
-    } else {
-        sdfr_io::csdf::from_text(&content)?
-    };
+    let g = parse_csdf_content(path, &read_file(path)?)?;
     let mut out = String::new();
     let _ = write!(out, "{g}");
     // One symbolic iteration feeds the repetition report, the throughput
@@ -1014,53 +1002,6 @@ fn cmd_csdf(path: &str, opts: &[String]) -> Result<String, CliError> {
     );
     write_output(&hsdf, opts, &mut out)?;
     Ok(out)
-}
-
-/// Analyses cyclo-static graph content into one `sdfr-api/1`
-/// [`sdfr_api::CsdfRecord`]. Shared by `sdfr csdf --json` (file content)
-/// and the server's `/v1/csdf` (inline request content) so their lines are
-/// byte-identical.
-pub(crate) fn csdf_record(name: &str, content: &str) -> sdfr_api::CsdfRecord {
-    let looks_xml = name.ends_with(".xml") || content.trim_start().starts_with('<');
-    let result = (|| -> Result<_, CliError> {
-        let g = if looks_xml {
-            sdfr_io::csdf::from_xml(content)?
-        } else {
-            sdfr_io::csdf::from_text(content)?
-        };
-        let sym = sdfr_csdf::symbolic_iteration(&g)?;
-        let firings = sym.repetition.iteration_length(&g);
-        let thr = sdfr_csdf::throughput_from_symbolic(&sym);
-        let hsdf = sdfr_csdf::hsdf_from_symbolic(&sym, g.name());
-        Ok((
-            thr.period.map(|p| p.to_string()),
-            firings,
-            (
-                hsdf.num_actors(),
-                hsdf.num_channels(),
-                hsdf.total_initial_tokens(),
-            ),
-        ))
-    })();
-    match result {
-        Ok((period, firings, hsdf)) => sdfr_api::CsdfRecord {
-            file: name.to_string(),
-            status: sdfr_api::UnitStatus::Exact { period },
-            phase_firings: Some(firings),
-            hsdf: Some(hsdf),
-            exit: EXIT_OK,
-        },
-        Err(e) => {
-            let exit = e.exit_code();
-            sdfr_api::CsdfRecord {
-                file: name.to_string(),
-                status: sdfr_api::UnitStatus::Error { message: e.message },
-                phase_firings: None,
-                hsdf: None,
-                exit,
-            }
-        }
-    }
 }
 
 /// Resolves `--flag <actor-name>` against the graph.
@@ -1386,6 +1327,21 @@ mod tests {
             run_on("analyze", &bad, &[]).unwrap_err().exit_code(),
             EXIT_INVALID
         );
+    }
+
+    #[test]
+    fn exit_output_maps_every_exit() {
+        assert_eq!(exit_output(0, "out".into()).unwrap(), "out");
+        for (exit, kind) in [
+            (1, CliErrorKind::Invalid),
+            (2, CliErrorKind::Usage),
+            (3, CliErrorKind::Io),
+            (4, CliErrorKind::Exhausted),
+            (70, CliErrorKind::Internal),
+            (99, CliErrorKind::Internal),
+        ] {
+            assert_eq!(exit_output(exit, String::new()).unwrap_err().kind, kind);
+        }
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //!
 //! | Method | Path                       | Body                                   |
 //! |--------|----------------------------|----------------------------------------|
-//! | POST   | `/v1/analyze`              | one [`sdfr_api::AnalysisRequest`] with exactly one graph and no tiers → one standalone [`sdfr_api::UnitRecord`] line, byte-identical to `sdfr analyze --json` |
-//! | POST   | `/v1/batch`                | an [`sdfr_api::AnalysisRequest`] → indexed record lines + a [`sdfr_api::BatchSummary`] line, the shape of `sdfr batch` |
-//! | POST   | `/v1/csdf`                 | an [`sdfr_api::AnalysisRequest`] → one [`sdfr_api::CsdfRecord`] line per graph |
-//! | POST   | `/v1/sadf`                 | an [`sdfr_api::AnalysisRequest`] (tagged workload kind `sadf`) → one scenario-aware [`sdfr_api::UnitRecord`] line per workload, byte-identical to `sdfr analyze --scenarios --json` |
+//! | POST   | `/v1/analyze`              | one [`sdfr_api::AnalysisRequest`] with exactly one source and no tiers → one standalone record line, byte-identical to `sdfr analyze --json` (or `csdf --json` for a tagged `csdf` source) |
+//! | POST   | `/v1/batch`                | an [`sdfr_api::AnalysisRequest`] of `sdf`/`sadf` sources → indexed record lines + a [`sdfr_api::BatchSummary`] line, the shape of `sdfr batch` |
+//! | POST   | `/v1/csdf`                 | `/v1/analyze`'s handler with the kind fixed to `csdf`, any number of sources → one [`sdfr_api::CsdfRecord`] line per graph |
+//! | POST   | `/v1/sadf`                 | the same with the kind fixed to `sadf` → one scenario-aware [`sdfr_api::UnitRecord`] line per workload, byte-identical to `sdfr analyze --scenarios --json` |
 //! | GET    | `/v1/stats` (or `/stats`)  | registry + pool + connection + persistence + incremental counters, request count, drain flag |
 //! | GET    | `/metrics`                 | the same counters in the Prometheus text exposition format |
 //! | POST   | `/shutdown` (or `/v1/shutdown`) | begin a graceful drain; the process exits 0 once in-flight work finishes |
+//!
+//! Each source's workload kind follows `workload::unit_kind`:
+//! the route where it names one, else the request's tagged kind, else the
+//! `.sadf`-name rule.
 //!
 //! HTTP statuses follow the CLI exit-code discipline via
 //! [`sdfr_api::http_status_for_exit`]; request-level failures (malformed
@@ -58,11 +62,10 @@
 //!   (answered with `Connection: close`), and exit 0.
 //! - **Panic isolation.** A panicking request handler answers `500` with an
 //!   `ErrorBody` (`exit` 70) instead of taking the server down.
-//! - **Fault injection (test-only).** `--fault` (or the `SDFR_FAULT`
-//!   environment variable) arms deterministic failures — accept delay,
-//!   mid-response close, torn journal write, slow-loris response stall —
-//!   so the black-box suite can prove each degrades to a structured,
-//!   budgeted answer.
+//! - **Fault injection (test-only).** `--fault` arms deterministic
+//!   failures — accept delay, mid-response close, torn journal write,
+//!   slow-loris response stall — so the black-box suite can prove each
+//!   degrades to a structured, budgeted answer.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -73,17 +76,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sdfr_analysis::registry::{Lookup, RegistryConfig, SessionRegistry};
+use sdfr_analysis::registry::{RegistryConfig, SessionRegistry};
 use sdfr_api::cache::CacheRecord;
 use sdfr_api::shards::{RedirectRecord, ShardMap};
 use sdfr_api::{
     http_status_for_exit, pool_stats_json, registry_stats_json, AnalysisRequest, ErrorBody,
-    RequestError, EXIT_IO, EXIT_PANIC, EXIT_USAGE, SCHEMA,
+    GraphSource, RequestError, WorkloadKind, EXIT_IO, EXIT_PANIC, EXIT_USAGE, SCHEMA,
 };
 use sdfr_graph::budget::Budget;
 
 use crate::http::{self, Parsed};
-use crate::{batch, cache, CliError};
+use crate::workload::{self, AnalyzedUnit};
+use crate::{batch, cache, client, CliError};
 
 /// Parsed options of one `sdfr serve` invocation.
 #[derive(Debug, Clone)]
@@ -116,7 +120,7 @@ struct ServeOptions {
     /// This process's fleet membership (`--shard ID/N` + `--peers`), with
     /// the derived ring and the mis-route policy.
     shard: Option<ShardOptions>,
-    /// Armed fault injections (`--fault` / `SDFR_FAULT`).
+    /// Armed fault injections (`--fault`).
     fault: FaultPlan,
 }
 
@@ -148,7 +152,7 @@ struct FaultPlan {
     slow_loris: Option<Duration>,
 }
 
-/// Parses a `--fault` / `SDFR_FAULT` spec: comma-separated `kind=value`
+/// Parses a `--fault` spec: comma-separated `kind=value`
 /// entries, e.g. `mid-response-close=1,slow-loris=2000`. Delays are in
 /// milliseconds, counters are 1-based ordinals.
 fn parse_fault_plan(spec: &str) -> Result<FaultPlan, CliError> {
@@ -403,8 +407,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliError> {
         opts.cache_compact_bytes = n;
     }
     if let Some(spec) = crate::flag_raw(args, "--fault")? {
-        opts.fault = parse_fault_plan(&spec)?;
-    } else if let Ok(spec) = std::env::var("SDFR_FAULT") {
         opts.fault = parse_fault_plan(&spec)?;
     }
     let shard_spec = crate::flag_raw(args, "--shard")?;
@@ -746,15 +748,11 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "unknown panic".to_string());
-                (
+                error_response(
                     500,
-                    ErrorBody::new(
-                        "internal",
-                        format!("request handler panicked: {msg}"),
-                        EXIT_PANIC,
-                    )
-                    .to_json()
-                        + "\n",
+                    "internal",
+                    format!("request handler panicked: {msg}"),
+                    EXIT_PANIC,
                 )
             }
         };
@@ -782,15 +780,11 @@ fn route(
     state: &ServerState,
 ) -> (u16, String) {
     let wrong_method = |allowed: &str| {
-        (
+        error_response(
             405,
-            ErrorBody::new(
-                "method-not-allowed",
-                format!("{path} only answers {allowed}"),
-                EXIT_USAGE,
-            )
-            .to_json()
-                + "\n",
+            "method-not-allowed",
+            format!("{path} only answers {allowed}"),
+            EXIT_USAGE,
         )
     };
     if let Some(fp) = path.strip_prefix("/v1/archive/") {
@@ -800,23 +794,11 @@ fn route(
         return handle_archive(fp, state);
     }
     match path {
-        "/v1/analyze" | "/v1/batch" => {
+        "/v1/analyze" | "/v1/batch" | "/v1/csdf" | "/v1/sadf" => {
             if method != "POST" {
                 return wrong_method("POST");
             }
-            handle_analysis(body, path == "/v1/batch", failover, state)
-        }
-        "/v1/csdf" => {
-            if method != "POST" {
-                return wrong_method("POST");
-            }
-            handle_csdf(body, failover, state)
-        }
-        "/v1/sadf" => {
-            if method != "POST" {
-                return wrong_method("POST");
-            }
-            handle_sadf(body, failover, state)
+            handle_workload(path, body, failover, state)
         }
         "/v1/stats" | "/stats" => {
             if method != "GET" {
@@ -840,205 +822,196 @@ fn route(
                 format!("{{\"schema\":\"{SCHEMA}\",\"draining\":true,\"exit\":0}}\n"),
             )
         }
-        _ => (
+        _ => error_response(
             404,
-            ErrorBody::new("not-found", format!("no such endpoint: {path}"), EXIT_IO).to_json()
-                + "\n",
+            "not-found",
+            format!("no such endpoint: {path}"),
+            EXIT_IO,
         ),
     }
 }
 
-/// `/v1/analyze` and `/v1/batch`: parse the request, analyse every
-/// `(graph, tier)` unit **sequentially in index order** through the shared
-/// registry (deterministic cache attribution — a fresh server's first
-/// batch response is byte-identical to `sdfr batch --stable`), and render
-/// the record lines. Each warmed unit is offered to the cache journal on
-/// the way out.
+/// A request-level failure as a response: an [`ErrorBody`] line.
+fn error_response(
+    status: u16,
+    code: &'static str,
+    message: impl Into<String>,
+    exit: i32,
+) -> (u16, String) {
+    (status, ErrorBody::new(code, message, exit).to_json() + "\n")
+}
+
+/// `/v1/analyze`, `/v1/batch`, `/v1/csdf` and `/v1/sadf`: one handler;
+/// the last two are aliases that fix the workload kind. It parses the
+/// request, decides and parses every source once (the sharded mis-route
+/// check reuses those fingerprints), analyses every `(source, tier)` unit
+/// **sequentially in index order** through the shared registry
+/// (deterministic cache attribution — a fresh server's first batch
+/// response is byte-identical to `sdfr batch --stable`), offers each unit
+/// to the cache journal, and renders the record lines. `/v1/analyze`
+/// takes exactly one source; only `/v1/batch` honours tiers and appends a
+/// summary.
 ///
 /// The batch summary embeds the *whole* registry's counters, cumulative
 /// across invocations — that is the feature, not an accounting bug; `/v1/
 /// stats` reads the same counters.
-fn handle_analysis(
-    body: &str,
-    is_batch: bool,
-    failover: bool,
-    state: &ServerState,
-) -> (u16, String) {
+fn handle_workload(path: &str, body: &str, failover: bool, state: &ServerState) -> (u16, String) {
     let req = match parse_request(body) {
         Ok(req) => req,
         Err(response) => return response,
     };
-    if !is_batch && (req.graphs.len() != 1 || !req.tiers.is_empty()) {
-        return (
-            400,
-            ErrorBody::new(
-                "bad-request",
-                "/v1/analyze takes exactly one graph and no tiers; use /v1/batch",
-                EXIT_USAGE,
-            )
-            .to_json()
-                + "\n",
+    let bad_request = |message: String| error_response(400, "bad-request", message, EXIT_USAGE);
+    let is_batch = path == "/v1/batch";
+    if path == "/v1/analyze" && (req.graphs.len() != 1 || !req.tiers.is_empty()) {
+        return bad_request(
+            "/v1/analyze takes exactly one graph and no tiers; use /v1/batch".to_string(),
         );
+    }
+    // The cyclo-static and scenario routes are the aliases that fix a kind.
+    let fixed = [WorkloadKind::Csdf, WorkloadKind::Sadf]
+        .into_iter()
+        .find(|&kind| workload::route(kind) == path);
+    let tagged = req.tagged.then_some(req.kind);
+    let mut sources = Vec::with_capacity(req.graphs.len());
+    for g in &req.graphs {
+        let kind = match workload::unit_kind(fixed, tagged, &g.name) {
+            Ok(kind) => kind,
+            Err(e) => return bad_request(format!("{path}: {}", e.message)),
+        };
+        if is_batch && kind == WorkloadKind::Csdf {
+            // Cyclo-static records carry no "index" for a sharded client
+            // to merge batch streams on.
+            return bad_request("/v1/batch serves sdf and sadf workloads; use /v1/csdf".into());
+        }
+        sources.push((kind, workload::parse_source(kind, &g.name, &g.content)));
     }
     if let Some(shard) = &state.shard {
         if !failover {
-            let path = if is_batch { "/v1/batch" } else { "/v1/analyze" };
-            if let Some(response) = shard_check(shard, &req, path, body, state) {
+            let fingerprints: Vec<u64> = sources
+                .iter()
+                .filter_map(|(_, source)| source.as_ref().ok()?.fingerprint())
+                .collect();
+            if let Some(response) = shard_check(shard, &fingerprints, path, body, state) {
                 return response;
             }
         }
     }
     let base = req.caps_budget();
     let deadline = req.wait_deadline().map(|d| Instant::now() + d);
-    let tiers: Vec<Option<u64>> = if req.tiers.is_empty() {
-        vec![None]
-    } else {
+    let tiers: Vec<Option<u64>> = if is_batch && !req.tiers.is_empty() {
         req.tiers.iter().map(|&t| Some(t)).collect()
+    } else {
+        vec![None]
     };
 
-    let mut analyzed = Vec::with_capacity(req.graphs.len() * tiers.len());
-    let mut index = 0usize;
-    let mut handoff_probed: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    for g in &req.graphs {
+    let mut analyzed = Vec::with_capacity(sources.len() * tiers.len());
+    let mut handoff_probed = std::collections::HashSet::new();
+    for (g, (kind, source)) in req.graphs.iter().zip(&sources) {
+        // A routed miss on a fingerprint this shard *owns* first asks the
+        // ring successor for a warm archive: after a failover episode (or
+        // a ring change) the warmth lives one hop away, and importing it
+        // beats recomputing the symbolic iteration.
+        let fp = source.as_ref().ok().and_then(workload::Source::fingerprint);
+        if let (Some(shard), Some(fp)) = (&state.shard, fp) {
+            if shard.map.owner(fp) == shard.id
+                && handoff_probed.insert(fp)
+                && state.registry.find_by_fingerprint(fp).is_none()
+            {
+                try_handoff(state, shard, fp);
+            }
+        }
         for &tier in &tiers {
             // The record's index: the caller's global position when the
             // routing client split one logical batch across shards,
             // otherwise our own running count.
-            let record_index = req.indices.as_ref().map_or(index, |indices| indices[index]);
-            let batch_fields = is_batch.then_some((record_index, tier));
+            let index = analyzed.len();
+            let batch_fields = is_batch.then(|| {
+                let global = req.indices.as_ref().map_or(index, |indices| indices[index]);
+                (global, tier)
+            });
             let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            // `.sadf` sources are scenario-aware workloads: same per-unit
-            // detection as `sdfr batch`, so a flat mixed batch posted
-            // here produces the exact in-process byte sequence.
-            if g.name.ends_with(".sadf") {
-                let unit = state.pool.install(|| {
-                    batch::analyze_sadf_source(
-                        batch_fields,
-                        &g.name,
-                        Ok(g.content.clone()),
-                        &state.registry,
-                        &base,
-                    )
-                });
-                persist_scenario_sessions(state, &base, &unit);
-                analyzed.push(unit);
-                index += 1;
-                continue;
-            }
-            let graph = crate::parse_graph_content(&g.name, &g.content).map(Arc::new);
-            // A routed miss on a fingerprint this shard *owns* first asks
-            // the ring successor for a warm archive: after a failover
-            // episode (or a ring change) the warmth lives one hop away,
-            // and importing it beats recomputing the symbolic iteration.
-            if let (Some(shard), Ok(parsed)) = (&state.shard, &graph) {
-                let fp = parsed.fingerprint();
-                if shard.map.owner(fp) == shard.id
-                    && handoff_probed.insert(fp)
-                    && state.registry.find_by_fingerprint(fp).is_none()
-                {
-                    try_handoff(state, shard, fp);
-                }
-            }
             // install() makes any nested analysis fan-out cooperate with
             // the server's pool instead of spawning per-request threads.
             let unit = state.pool.install(|| {
-                batch::analyze_source(
+                workload::analyze_unit(
+                    *kind,
                     batch_fields,
                     &g.name,
-                    graph,
+                    source,
                     &state.registry,
                     &base,
                     remaining,
                 )
             });
-            persist_unit(state, &g.name, &g.content, &base, tier, &unit);
+            persist(state, g, &unit);
             analyzed.push(unit);
-            index += 1;
         }
     }
 
+    let mut out = String::new();
+    for unit in &analyzed {
+        out.push_str(&unit.to_json_line());
+        out.push('\n');
+    }
+    let exit = analyzed.iter().map(|u| u.record.exit).max().unwrap_or(0);
     if is_batch {
-        let mut out = String::new();
-        for unit in &analyzed {
-            out.push_str(&unit.record.to_json_line());
-            out.push('\n');
-        }
-        let (summary, exit) = batch::summarize(analyzed.iter(), state.registry.stats());
+        let summary = batch::summarize(analyzed.iter(), state.registry.stats());
         out.push_str(&summary.to_json_line());
         out.push('\n');
-        (http_status_for_exit(exit), out)
-    } else {
-        let unit = &analyzed[0];
-        (
-            http_status_for_exit(unit.record.exit),
-            unit.record.to_json_line() + "\n",
-        )
     }
+    (http_status_for_exit(exit), out)
 }
 
-/// Offers one analysed unit to the cache journal: only registry-backed
-/// lookups (hit or miss — a bypass means the budget was not
-/// content-addressable) whose session holds an exportable headline are
-/// persisted; everything else is recomputed cheaply after a restart.
-fn persist_unit(
-    state: &ServerState,
-    name: &str,
-    content: &str,
-    base: &Budget,
-    tier: Option<u64>,
-    unit: &batch::AnalyzedUnit,
-) {
+/// Offers the registry sessions a unit went through to the cache journal;
+/// [`cache::record_for`] skips the ones without an exportable headline
+/// (still cold, or a deadline-bound pending answer whose warmer has not
+/// landed yet — a later request for the content persists it). A plain
+/// graph is journalled under the request's own name and content; a
+/// scenario session under its graph's canonical text, exactly what a plain
+/// request for that scenario would persist, so a restarted server comes
+/// up warm for the whole workload family.
+fn persist(state: &ServerState, source: &GraphSource, unit: &AnalyzedUnit) {
     let Some(journal) = &state.journal else {
         return;
     };
-    if !matches!(unit.lookup, Some(Lookup::Hit | Lookup::Miss)) {
-        return;
+    for session in &unit.sessions {
+        let record = if unit.record.workload_kind == WorkloadKind::Sdf {
+            cache::record_for(&source.name, &source.content, session)
+        } else {
+            let graph = session.graph();
+            cache::record_for(graph.name(), &sdfr_io::text::to_text(graph), session)
+        };
+        if let Some(record) = record {
+            journal.persist(&record);
+        }
     }
-    let Some(session) = &unit.session else { return };
-    let Some(artifacts) = session.export_artifacts() else {
-        // Still cold: a deadline-bounded answer went out as pending while
-        // the warmer runs; a later request for this content persists it.
-        return;
-    };
-    let budget = match tier {
-        Some(t) => base.clone().with_max_firings(t),
-        None => base.clone(),
-    };
-    let engine = session.engine_archive().and_then(|a| a.encode());
-    if let Some(record) = cache::record_for(name, content, &budget, &artifacts, engine) {
-        journal.persist(&record);
-        journal.maybe_compact(&state.registry);
-    }
+    journal.maybe_compact(&state.registry);
 }
 
-/// The sharded mis-route check: every parseable graph in the request must
-/// be owned by this shard. Returns `None` when the request may be served
-/// here, or the response to send instead:
+/// The sharded mis-route check: every source fingerprint in the request
+/// must be owned by this shard. Returns `None` when the request may be
+/// served here, or the response to send instead:
 ///
-/// - `--misroute proxy` and every parseable graph owned by one *other*
-///   shard: the whole body is forwarded there and its answer relayed
-///   (a proxy failure degrades to 503 so the client's failover takes
-///   over);
+/// - `--misroute proxy` and every fingerprint owned by one *other* shard:
+///   the whole body is forwarded there and its answer relayed (a proxy
+///   failure degrades to 503 so the client's failover takes over);
 /// - otherwise any foreign fingerprint earns a 421 with a
 ///   [`RedirectRecord`] naming its owner.
 ///
-/// Unparseable graphs have no fingerprint and are served anywhere — their
-/// error records are shard-independent bytes, so placement cannot change
-/// the response.
+/// Unparseable graphs and cyclo-static or scenario sources have no
+/// fingerprint and are served anywhere — the routing client places them
+/// by content hash, and their records are shard-independent bytes.
 fn shard_check(
     shard: &ShardState,
-    req: &AnalysisRequest,
+    fingerprints: &[u64],
     path: &str,
     body: &str,
     state: &ServerState,
 ) -> Option<(u16, String)> {
-    let mut owners: Vec<(u64, u32)> = Vec::new();
-    for g in &req.graphs {
-        if let Ok(graph) = crate::parse_graph_content(&g.name, &g.content) {
-            let fp = graph.fingerprint();
-            owners.push((fp, shard.map.owner(fp)));
-        }
-    }
+    let owners: Vec<(u64, u32)> = fingerprints
+        .iter()
+        .map(|&fp| (fp, shard.map.owner(fp)))
+        .collect();
     let foreign: Vec<(u64, u32)> = owners
         .iter()
         .copied()
@@ -1052,15 +1025,11 @@ fn shard_check(
         return Some(
             match http_fetch(peer, "POST", path, body, state.io_timeout) {
                 Ok((status, relayed)) => (status, relayed),
-                Err(e) => (
+                Err(e) => error_response(
                     503,
-                    ErrorBody::new(
-                        "misrouted",
-                        format!("cannot proxy to owning shard {first_owner} ({peer}): {e}"),
-                        EXIT_IO,
-                    )
-                    .to_json()
-                        + "\n",
+                    "misrouted",
+                    format!("cannot proxy to owning shard {first_owner} ({peer}): {e}"),
+                    EXIT_IO,
                 ),
             },
         );
@@ -1083,41 +1052,28 @@ fn shard_check(
 /// never inject state a local computation would not have produced.
 fn handle_archive(fp: &str, state: &ServerState) -> (u16, String) {
     let Ok(fingerprint) = u64::from_str_radix(fp, 16) else {
-        return (
+        return error_response(
             400,
-            ErrorBody::new(
-                "bad-request",
-                format!("'{fp}' is not a hexadecimal fingerprint"),
-                EXIT_USAGE,
-            )
-            .to_json()
-                + "\n",
+            "bad-request",
+            format!("'{fp}' is not a hexadecimal fingerprint"),
+            EXIT_USAGE,
         );
     };
     let miss = || {
-        (
+        error_response(
             404,
-            ErrorBody::new(
-                "not-found",
-                format!("no warm session for fingerprint {fingerprint:016x}"),
-                EXIT_IO,
-            )
-            .to_json()
-                + "\n",
+            "not-found",
+            format!("no warm session for fingerprint {fingerprint:016x}"),
+            EXIT_IO,
         )
     };
     let Some(session) = state.registry.find_by_fingerprint(fingerprint) else {
         return miss();
     };
-    let Some(artifacts) = session.export_artifacts() else {
-        return miss(); // still cold; nothing worth shipping
-    };
     let content = sdfr_io::text::to_text(session.graph());
-    let engine = session.engine_archive().and_then(|a| a.encode());
     let name = format!("{fingerprint:016x}.sdf");
-    let Some(record) = cache::record_for(&name, &content, session.budget(), &artifacts, engine)
-    else {
-        return miss(); // non-exportable outcome (deadline-specific, …)
+    let Some(record) = cache::record_for(&name, &content, &session) else {
+        return miss(); // still cold, or a non-exportable outcome
     };
     if let Some(shard) = &state.shard {
         shard.handoffs_served.fetch_add(1, Ordering::Relaxed);
@@ -1157,10 +1113,10 @@ fn try_handoff(state: &ServerState, shard: &ShardState, fp: u64) {
     }
 }
 
-/// A minimal one-shot HTTP exchange with a fleet peer (`Connection:
-/// close`, read to EOF): the transport under proxying and archive
-/// handoff. Deliberately simpler than the retrying client — fleet-internal
-/// calls fail fast and fall back to local computation.
+/// A one-shot HTTP exchange with a fleet peer: the transport under
+/// proxying and archive handoff. It is the client's exchange without the
+/// retries — fleet-internal calls fail fast within `timeout` and fall back
+/// to local computation.
 fn http_fetch(
     peer: &str,
     method: &str,
@@ -1174,126 +1130,15 @@ fn http_fetch(
         .map_err(|e| format!("cannot resolve {peer}: {e}"))?
         .next()
         .ok_or_else(|| format!("cannot resolve {peer}: no address"))?;
-    let mut stream =
-        TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {peer}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
-        .map_err(|e| format!("write: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("malformed status line")?;
-    let payload = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .ok_or("truncated response")?;
+    let stream = TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
+    let policy = client::RetryPolicy {
+        retries: 0,
+        budget: timeout,
+        bounded_reads: true,
+    };
+    let (status, _, payload) =
+        client::exchange(stream, peer, method, path, body, 0, false, &policy)?;
     Ok((status, payload))
-}
-
-/// `/v1/csdf`: one [`sdfr_api::CsdfRecord`] line per graph; the HTTP
-/// status reflects the worst per-graph exit code.
-fn handle_csdf(body: &str, failover: bool, state: &ServerState) -> (u16, String) {
-    let req = match parse_request(body) {
-        Ok(req) => req,
-        Err(response) => return response,
-    };
-    // Same routing discipline as `/v1/analyze`: content that parses as an
-    // SDF graph has a fingerprint and an owner (the routing client derives
-    // it identically); cyclo-static text does not parse as SDF, so it is
-    // placed by content hash client-side and accepted anywhere here.
-    if let Some(shard) = &state.shard {
-        if !failover {
-            if let Some(response) = shard_check(shard, &req, "/v1/csdf", body, state) {
-                return response;
-            }
-        }
-    }
-    let mut out = String::new();
-    let mut exit = 0;
-    for g in &req.graphs {
-        let record = crate::csdf_record(&g.name, &g.content);
-        exit = exit.max(record.exit);
-        out.push_str(&record.to_json_line());
-        out.push('\n');
-    }
-    (http_status_for_exit(exit), out)
-}
-
-/// `/v1/sadf`: one scenario-aware [`sdfr_api::UnitRecord`] line per
-/// workload, byte-identical to `sdfr analyze --scenarios --json`. The
-/// per-scenario sessions live in the shared registry (a workload family
-/// reusing scenarios across requests warms each scenario exactly once)
-/// and each warmed one is offered to the cache journal individually.
-fn handle_sadf(body: &str, failover: bool, state: &ServerState) -> (u16, String) {
-    let req = match parse_request(body) {
-        Ok(req) => req,
-        Err(response) => return response,
-    };
-    // Same routing discipline as `/v1/csdf`: `.sadf` text does not parse
-    // as a plain SDF graph, so the routing client places it by content
-    // hash and any shard accepts it here.
-    if let Some(shard) = &state.shard {
-        if !failover {
-            if let Some(response) = shard_check(shard, &req, "/v1/sadf", body, state) {
-                return response;
-            }
-        }
-    }
-    let base = req.caps_budget();
-    let mut out = String::new();
-    let mut exit = 0;
-    for g in &req.graphs {
-        let unit = state.pool.install(|| {
-            batch::analyze_sadf_source(None, &g.name, Ok(g.content.clone()), &state.registry, &base)
-        });
-        persist_scenario_sessions(state, &base, &unit);
-        exit = exit.max(unit.record.exit);
-        out.push_str(&unit.record.to_json_line());
-        out.push('\n');
-    }
-    (http_status_for_exit(exit), out)
-}
-
-/// Offers every warmed per-scenario session of a scenario-aware unit to
-/// the cache journal. The workload itself has no single graph to
-/// persist; each scenario is an ordinary SDF graph, so its session is
-/// journalled under the scenario graph's canonical text — exactly what a
-/// plain request for that scenario would persist, which is what lets a
-/// restarted server come up warm for the whole workload family.
-fn persist_scenario_sessions(state: &ServerState, base: &Budget, unit: &batch::AnalyzedUnit) {
-    let Some(journal) = &state.journal else {
-        return;
-    };
-    for (session, lookup) in &unit.scenario_sessions {
-        if !matches!(lookup, Lookup::Hit | Lookup::Miss) {
-            continue;
-        }
-        let Some(artifacts) = session.export_artifacts() else {
-            continue;
-        };
-        let content = sdfr_io::text::to_text(session.graph());
-        let engine = session.engine_archive().and_then(|a| a.encode());
-        if let Some(record) =
-            cache::record_for(session.graph().name(), &content, base, &artifacts, engine)
-        {
-            journal.persist(&record);
-        }
-    }
-    journal.maybe_compact(&state.registry);
 }
 
 /// Parses and validates an [`AnalysisRequest`] body, mapping the three
@@ -1306,10 +1151,8 @@ fn parse_request(body: &str) -> Result<AnalysisRequest, (u16, String)> {
             RequestError::UnsupportedSchema(m) => {
                 ErrorBody::new("unsupported-schema", m, EXIT_USAGE)
             }
-            RequestError::UnsupportedKind(m) => {
-                ErrorBody::new("unsupported-kind", m, EXIT_USAGE)
-                    .with_supported(sdfr_api::WorkloadKind::SUPPORTED)
-            }
+            RequestError::UnsupportedKind(m) => ErrorBody::new("unsupported-kind", m, EXIT_USAGE)
+                .with_supported(sdfr_api::WorkloadKind::SUPPORTED),
             RequestError::Malformed(m) => ErrorBody::new("bad-request", m, EXIT_USAGE),
         };
         (400, body.to_json() + "\n")

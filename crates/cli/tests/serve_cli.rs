@@ -1121,14 +1121,19 @@ fn sadf_roundtrip_matches_in_process_json() {
     assert!(line.contains("\"workload_kind\":\"sadf\""), "{line}");
     assert!(line.contains("\"period\":\"8\""), "{line}");
     assert!(
-        line.contains("\"scenarios\":{\"periods\":{\"fast\":\"3\",\"slow\":\"9\"},\"cycle\":[\"s0\",\"s1\"]}"),
+        line.contains(
+            "\"scenarios\":{\"periods\":{\"fast\":\"3\",\"slow\":\"9\"},\"cycle\":[\"s0\",\"s1\"]}"
+        ),
         "{line}"
     );
     let again = sdfr(&["--server", &server.addr, "analyze", path]);
     assert_eq!(again.stdout, local.stdout);
     let stats = sdfr(&["stats", "--server", &server.addr]);
     let stats = String::from_utf8_lossy(&stats.stdout).into_owned();
-    assert!(!stats.contains("\"hits\":0,"), "warm scenarios must hit: {stats}");
+    assert!(
+        !stats.contains("\"hits\":0,"),
+        "warm scenarios must hit: {stats}"
+    );
 }
 
 /// The cyclo-static oracle across every front-end: a balanced CSDF graph
@@ -1200,11 +1205,57 @@ fn tagged_and_flat_requests_answer_identically() {
     let server = Server::start(&[]);
     let graphs = r#"[{"name":"g.sdf","content":"graph g\nactor a 2\nchannel a a 1 1 1\n"}]"#;
     let flat = format!(r#"{{"schema":"sdfr-api/1","graphs":{graphs}}}"#);
-    let tagged = format!(r#"{{"schema":"sdfr-api/1","workload":{{"kind":"sdf","graphs":{graphs}}}}}"#);
+    let tagged =
+        format!(r#"{{"schema":"sdfr-api/1","workload":{{"kind":"sdf","graphs":{graphs}}}}}"#);
     let (s1, b1) = http(&server.addr, "POST", "/v1/analyze", &flat);
     let (s2, b2) = http(&server.addr, "POST", "/v1/analyze", &tagged);
     assert_eq!(s1, 200, "{b1}");
     assert_eq!((s1, b1), (s2, b2));
+
+    // The tagged kind selects the analysis on /v1/analyze, whatever the
+    // name says: the same body answers exactly as on the kind's own route.
+    let tagged_body = |kind: &str, name: &str, content: &str| {
+        format!(
+            r#"{{"schema":"sdfr-api/1","workload":{{"kind":"{kind}","graphs":[{{"name":"{name}","content":"{}"}}]}}}}"#,
+            content.replace('\n', "\\n")
+        )
+    };
+    let sadf = tagged_body("sadf", "modes.txt", SADF_MODES);
+    let on_analyze = http(&server.addr, "POST", "/v1/analyze", &sadf);
+    assert_eq!(on_analyze.0, 200, "{}", on_analyze.1);
+    assert!(
+        on_analyze.1.contains("\"workload_kind\":\"sadf\""),
+        "{}",
+        on_analyze.1
+    );
+    assert_eq!(on_analyze, http(&server.addr, "POST", "/v1/sadf", &sadf));
+    let csdf = tagged_body(
+        "csdf",
+        "w.txt",
+        "csdf w\nactor w 1,3\nchannel w w 1,1 1,1 1\n",
+    );
+    let on_analyze = http(&server.addr, "POST", "/v1/analyze", &csdf);
+    assert_eq!(on_analyze.0, 200, "{}", on_analyze.1);
+    assert!(
+        on_analyze.1.contains("\"phase_firings\":2"),
+        "{}",
+        on_analyze.1
+    );
+    assert_eq!(on_analyze, http(&server.addr, "POST", "/v1/csdf", &csdf));
+
+    // A tagged kind that contradicts the route, and a cyclo-static batch
+    // (its records carry no index to merge on), are bad requests.
+    let sdf = tagged_body("sdf", "g.sdf", "graph g\nactor a 2\nchannel a a 1 1 1\n");
+    for (path, body) in [("/v1/csdf", &sdf), ("/v1/batch", &csdf)] {
+        let (status, answer) = http(&server.addr, "POST", path, body);
+        assert_eq!(status, 400, "{path}: {answer}");
+        assert!(
+            answer.contains("\"code\":\"bad-request\""),
+            "{path}: {answer}"
+        );
+    }
+    let (_, answer) = http(&server.addr, "POST", "/v1/batch", &csdf);
+    assert!(answer.contains("/v1/csdf"), "{answer}");
 }
 
 /// Regression for the version guard: future *minors* of the dialect are
@@ -1276,7 +1327,10 @@ fn future_minor_versions_are_forward_compatible() {
     stub.join().unwrap();
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout, response_body, "future-minor lines must pass through");
+    assert_eq!(
+        stdout, response_body,
+        "future-minor lines must pass through"
+    );
 
     // The major guard still refuses.
     let bad = sdfr(&["--api-version", "2.0", "analyze", &demo, "--json"]);

@@ -131,9 +131,9 @@ pub fn from_text(input: &str) -> Result<SadfDoc, IoError> {
                 };
                 let delay = match parts.next() {
                     None => 0,
-                    Some(d) => d.parse().map_err(|_| {
-                        syntax(lineno, format!("'{d}' is not a transition delay"))
-                    })?,
+                    Some(d) => d
+                        .parse()
+                        .map_err(|_| syntax(lineno, format!("'{d}' is not a transition delay")))?,
                 };
                 if parts.next().is_some() {
                     return Err(syntax(lineno, "'transition' needs <from> <to> [delay]"));

@@ -476,9 +476,9 @@ fn conservative_workload_bound(w: &Workload) -> Result<ConservativeBound, SadfEr
         .map(|&(_, _, d)| d.max(0))
         .max()
         .unwrap_or(0);
-    let bound = worst.ok_or_else(|| {
-        SadfError::Invalid("a workload needs at least one scenario".into())
-    })? + Rational::from(delay);
+    let bound = worst
+        .ok_or_else(|| SadfError::Invalid("a workload needs at least one scenario".into()))?
+        + Rational::from(delay);
     Ok(ConservativeBound {
         bound,
         method: FallbackMethod::Serialization,
@@ -663,10 +663,7 @@ initial b
         let w = Workload::from_text(TWO_MODES).unwrap();
         let registry = SessionRegistry::new();
         let cold = analyze_workload(&w, &registry, &Budget::unlimited()).unwrap();
-        assert!(cold
-            .sessions
-            .iter()
-            .all(|(_, l)| matches!(l, Lookup::Miss)));
+        assert!(cold.sessions.iter().all(|(_, l)| matches!(l, Lookup::Miss)));
         let warm = analyze_workload(&w, &registry, &Budget::unlimited()).unwrap();
         assert!(warm.sessions.iter().all(|(_, l)| matches!(l, Lookup::Hit)));
         assert_eq!(warm.outcome, cold.outcome);
