@@ -106,6 +106,11 @@ impl FamilySeeder {
 /// Per-channel peak token counts over `iterations` self-timed iterations
 /// (including the initial tokens), indexed by channel index.
 ///
+/// The simulation executes `iterations · Σγ(a)` firings uncapped. Under a
+/// resource [`Budget`], run [`simulate`] with
+/// [`SimulationOptions::with_budget`] and read its
+/// `channel_peak_tokens`.
+///
 /// # Errors
 ///
 /// See [`simulate_iterations`].
@@ -129,23 +134,6 @@ impl FamilySeeder {
 pub fn self_timed_buffer_bounds(g: &SdfGraph, iterations: u64) -> Result<Vec<u64>, SdfError> {
     let trace = simulate_iterations(g, iterations)?;
     Ok(trace.channel_peak_tokens)
-}
-
-/// [`self_timed_buffer_bounds`] under a resource [`Budget`]: the underlying
-/// simulation executes `iterations · Σγ(a)` firings, all charged to the
-/// budget.
-///
-/// # Errors
-///
-/// As [`self_timed_buffer_bounds`], plus [`SdfError::Exhausted`] when the
-/// budget runs out.
-pub fn self_timed_buffer_bounds_with_budget(
-    g: &SdfGraph,
-    iterations: u64,
-    budget: &Budget,
-) -> Result<Vec<u64>, SdfError> {
-    let opts = SimulationOptions::iterations(iterations).with_budget(budget.clone());
-    Ok(simulate(g, &opts)?.channel_peak_tokens)
 }
 
 /// The total peak memory over all channels (sum of per-channel peaks).
@@ -282,7 +270,9 @@ fn period_with_capacities_budgeted(
     budget: &Budget,
 ) -> Result<Option<sdfr_maxplus::Rational>, SdfError> {
     let bounded = with_capacities(g, capacities)?;
-    Ok(crate::throughput::throughput_with_budget(&bounded, budget)?.period())
+    Ok(AnalysisSession::with_budget(bounded, budget.clone())
+        .throughput()?
+        .period())
 }
 
 /// [`period_with_capacities_budgeted`] with the bounded graph's symbolic
@@ -319,34 +309,14 @@ fn period_with_capacities_seeded(
 /// Propagates analysis errors; returns [`SdfError::Overflow`] when the
 /// unconstrained throughput is unbounded (no finite allocation reproduces
 /// it) or when verification fails within the search budget.
+///
+/// The capped form is [`AnalysisSession::sufficient_capacities`].
 pub fn sufficient_capacities(g: &SdfGraph, iterations: u64) -> Result<Vec<u64>, SdfError> {
-    sufficient_capacities_with_budget(g, iterations, &Budget::unlimited())
+    AnalysisSession::new(g.clone()).sufficient_capacities(iterations)
 }
 
-/// [`sufficient_capacities`] under a resource [`Budget`].
-///
-/// Every probe (the unconstrained analysis, the self-timed simulation, and
-/// each verification of a candidate allocation) is charged against the same
-/// budget: a deadline or cancellation flag bounds the whole search, while a
-/// firing cap applies to each probe individually (each probe creates its own
-/// meter).
-///
-/// # Errors
-///
-/// As [`sufficient_capacities`], plus [`SdfError::Exhausted`] when the
-/// budget runs out mid-search.
-pub fn sufficient_capacities_with_budget(
-    g: &SdfGraph,
-    iterations: u64,
-    budget: &Budget,
-) -> Result<Vec<u64>, SdfError> {
-    let target = crate::throughput::throughput_with_budget(g, budget)?.period();
-    sufficient_capacities_with_target(g, iterations, budget, target)
-}
-
-/// [`sufficient_capacities_with_budget`] against an already-known
-/// unconstrained period (the [`AnalysisSession`](crate::session::AnalysisSession)
-/// cache), skipping the redundant throughput analysis.
+/// The search behind [`AnalysisSession::sufficient_capacities`], against
+/// the session's cached unconstrained period.
 pub(crate) fn sufficient_capacities_with_target(
     g: &SdfGraph,
     iterations: u64,
@@ -414,25 +384,10 @@ pub(crate) fn sufficient_capacities_with_target(
 /// # Errors
 ///
 /// Propagates analysis errors from the unconstrained graph.
+///
+/// The capped form is [`AnalysisSession::minimize_capacities`].
 pub fn minimize_capacities(g: &SdfGraph, iterations: u64) -> Result<Vec<u64>, SdfError> {
-    minimize_capacities_with_budget(g, iterations, &Budget::unlimited())
-}
-
-/// [`minimize_capacities`] under a resource [`Budget`]; see
-/// [`sufficient_capacities_with_budget`] for how the budget applies to the
-/// many probes of the search.
-///
-/// # Errors
-///
-/// As [`minimize_capacities`], plus [`SdfError::Exhausted`] when the budget
-/// runs out mid-search.
-pub fn minimize_capacities_with_budget(
-    g: &SdfGraph,
-    iterations: u64,
-    budget: &Budget,
-) -> Result<Vec<u64>, SdfError> {
-    let target = crate::throughput::throughput_with_budget(g, budget)?.period();
-    minimize_capacities_with_target(g, iterations, budget, target)
+    AnalysisSession::new(g.clone()).minimize_capacities(iterations)
 }
 
 /// Whether capacities `probe` reproduce the target period. A deadlocking
@@ -452,8 +407,8 @@ fn probe_feasible(
     }
 }
 
-/// The shrink search behind [`minimize_capacities_with_budget`], against an
-/// already-known target period.
+/// The shrink search behind [`AnalysisSession::minimize_capacities`],
+/// against the session's cached unconstrained period.
 ///
 /// Feasibility is monotone in every single capacity (extra slots only add
 /// tokens to the reverse channel, which can only shorten cycles), which the
@@ -701,7 +656,7 @@ mod capacity_tests {
         let g = pipeline();
         let tight = Budget::unlimited().with_max_firings(1);
         assert!(matches!(
-            minimize_capacities_with_budget(&g, 16, &tight),
+            AnalysisSession::with_budget(g.clone(), tight).minimize_capacities(16),
             Err(SdfError::Exhausted {
                 resource: BudgetResource::Firings,
                 ..
@@ -709,11 +664,15 @@ mod capacity_tests {
         ));
         let ample = Budget::unlimited().with_max_firings(1_000_000);
         assert_eq!(
-            minimize_capacities_with_budget(&g, 16, &ample).unwrap(),
+            AnalysisSession::with_budget(g.clone(), ample.clone())
+                .minimize_capacities(16)
+                .unwrap(),
             minimize_capacities(&g, 16).unwrap()
         );
         assert_eq!(
-            self_timed_buffer_bounds_with_budget(&g, 10, &ample).unwrap(),
+            simulate(&g, &SimulationOptions::iterations(10).with_budget(ample))
+                .unwrap()
+                .channel_peak_tokens,
             self_timed_buffer_bounds(&g, 10).unwrap()
         );
     }

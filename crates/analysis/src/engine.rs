@@ -381,9 +381,9 @@ impl SymbolicEngine {
     /// Creates a cold engine for one iteration of `g`.
     ///
     /// Performs the same pre-allocation budget checks as
-    /// [`symbolic_iteration_scheduled`](crate::symbolic::symbolic_iteration_scheduled):
-    /// the token count is overflow-checked and validated against the size
-    /// cap *before* the state is allocated.
+    /// [`AnalysisSession::symbolic`](crate::AnalysisSession::symbolic): the
+    /// token count is overflow-checked and validated against the size cap
+    /// *before* the state is allocated.
     ///
     /// # Errors
     ///

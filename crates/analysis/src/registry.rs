@@ -253,19 +253,10 @@ impl SessionRegistry {
     }
 
     /// The shared session for `graph` under `budget`, creating and caching
-    /// it on first sight of this (content, caps) pair. Budgets that are not
-    /// [content-addressable](Budget::is_content_addressable) get a private,
-    /// uncached session.
-    pub fn session_with_budget(
-        &self,
-        graph: &Arc<SdfGraph>,
-        budget: &Budget,
-    ) -> Arc<AnalysisSession> {
-        self.lookup(graph, budget).0
-    }
-
-    /// [`Self::session_with_budget`], also reporting how the lookup was
-    /// served — the batch front-end surfaces this per graph.
+    /// it on first sight of this (content, caps) pair, and how the lookup
+    /// was served — the batch front-end surfaces this per graph. Budgets
+    /// that are not [content-addressable](Budget::is_content_addressable)
+    /// get a private, uncached session.
     pub fn lookup(&self, graph: &Arc<SdfGraph>, budget: &Budget) -> (Arc<AnalysisSession>, Lookup) {
         if !budget.is_content_addressable() {
             let mut inner = self.inner.lock().expect("registry mutex poisoned");

@@ -14,11 +14,19 @@
 //! A session owns one [`Budget`] and keeps a cumulative firing count: each
 //! lazy computation runs under a meter resumed from the running total
 //! ([`Budget::meter_resuming`]), so a firing cap applies to the *sum* of all
-//! work the session ever did — strictly stronger than the one-meter-per-call
-//! accounting of the free functions, and with the same graceful degradation:
-//! an exhausted computation yields [`SdfError::Exhausted`], which is cached
-//! like any other result (asking again does not retry, because the budget
-//! could only be more depleted).
+//! work the session ever did — strictly stronger than a fresh meter per
+//! phase. An exhausted computation yields [`SdfError::Exhausted`], which is
+//! cached like any other result (asking again does not retry, because the
+//! budget could only be more depleted).
+//!
+//! The rate-optimal schedule and the probes of the capacity searches are
+//! the exception: each call or probe charges a fresh meter of the session
+//! budget, not the running total.
+//!
+//! The session is the *only* capped form of each analysis: the free
+//! functions (`throughput(g)`, `symbolic_iteration(g)`, …) run uncapped,
+//! and a caller with caps builds [`AnalysisSession::with_budget`] and asks
+//! it instead.
 //!
 //! # Thread safety
 //!
@@ -27,7 +35,7 @@
 //! block until the single in-flight computation finishes. Concurrent
 //! computations of *different* artifacts may each resume metering from the
 //! same running total (the update is applied after the phase completes), so
-//! parallel phases are charged like parallel probes of the free-function
+//! parallel phases are charged like the parallel probes of the capacity
 //! searches: per worker, against the shared deadline and cancellation flag.
 //!
 //! # Invalidation
@@ -73,7 +81,7 @@ use crate::buffer::{
     throughput_buffer_tradeoff_with_target, ParetoPoint,
 };
 use crate::engine::{EngineArchive, IncrementalSeed, SymbolicEngine};
-use crate::static_schedule::{rate_optimal_schedule_with_budget, StaticSchedule};
+use crate::static_schedule::{synthesize_rate_optimal, StaticSchedule};
 use crate::symbolic::SymbolicIteration;
 use crate::throughput::ThroughputAnalysis;
 
@@ -423,7 +431,9 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// See [`crate::symbolic::symbolic_iteration_with_budget`].
+    /// As [`crate::symbolic::symbolic_iteration`], plus
+    /// [`SdfError::Exhausted`] when the session budget refuses the `N×N`
+    /// state or runs out.
     pub fn symbolic(&self) -> Result<&SymbolicIteration, SdfError> {
         if let Some(Ok(sym)) = self.symbolic_stamps.get() {
             return Ok(sym);
@@ -448,34 +458,17 @@ impl AnalysisSession {
     }
 
     fn compute_symbolic(&self, record_stamps: bool) -> Result<SymbolicIteration, SdfError> {
-        // Fail on the size cap before investing in the schedule, mirroring
-        // the free function's check-before-allocate ordering.
-        let token_total = self
-            .graph
-            .channels()
-            .try_fold(0u64, |s, (_, ch)| s.checked_add(ch.initial_tokens()))
-            .ok_or(SdfError::Overflow {
-                what: "initial token count",
-            })?;
-        self.budget.meter().check_size(token_total)?;
-
-        let schedule = self.sequential_schedule()?;
-        let gamma = self.repetition_vector()?;
-        self.miss();
-        self.symbolic_runs.fetch_add(1, Ordering::Relaxed);
-
         // Engines are archived (and seeds honoured) only for stamp-less runs
         // under content-addressable budgets: stamped iterations would need
         // the skipped prefix's stamps, and deadline/cancel budgets make
         // warm-vs-cold observationally different.
         let reusable = !record_stamps && self.budget.is_content_addressable();
-        let seed = if reusable {
-            self.seed.lock().expect("seed lock poisoned").take()
-        } else {
-            None
-        };
-
-        self.with_meter(|m| {
+        self.run_symbolic(|gamma, schedule, m| {
+            let seed = if reusable {
+                self.seed.lock().expect("seed lock poisoned").take()
+            } else {
+                None
+            };
             // Warm path: resume or fork the seeded base. Budget accounting
             // replicates the cold run exactly (`charge_skipped`), so results
             // — including Exhausted errors — are byte-identical.
@@ -500,6 +493,38 @@ impl AnalysisSession {
             let run = engine.run_scheduled(schedule, m);
             self.settle_engine(engine, run, reusable)
         })
+    }
+
+    /// The one orchestration of Alg. 1: the size cap on the `N` initial
+    /// tokens, then γ and the sequential schedule (cached, each charged as
+    /// its own phase), then `engine` under a meter resumed from the session
+    /// total. The session's symbolic slots and the uncapped
+    /// [`symbolic_iteration`](crate::symbolic::symbolic_iteration) both run
+    /// through here and differ only in the engine they finish with.
+    pub(crate) fn run_symbolic(
+        &self,
+        engine: impl FnOnce(
+            &RepetitionVector,
+            &Schedule,
+            &mut BudgetMeter<'_>,
+        ) -> Result<SymbolicIteration, SdfError>,
+    ) -> Result<SymbolicIteration, SdfError> {
+        // Fail on the size cap before investing in γ or the schedule: the
+        // matrix is N×N and every stamp vector has N entries.
+        let token_total = self
+            .graph
+            .channels()
+            .try_fold(0u64, |s, (_, ch)| s.checked_add(ch.initial_tokens()))
+            .ok_or(SdfError::Overflow {
+                what: "initial token count",
+            })?;
+        self.budget.meter().check_size(token_total)?;
+
+        let schedule = self.sequential_schedule()?;
+        let gamma = self.repetition_vector()?;
+        self.miss();
+        self.symbolic_runs.fetch_add(1, Ordering::Relaxed);
+        self.with_meter(|m| engine(gamma, schedule, m))
     }
 
     /// Archives the engine's state when worthwhile, then converts the run
@@ -605,42 +630,61 @@ impl AnalysisSession {
             .clone()
     }
 
-    /// A rate-optimal static periodic schedule under the session budget (see
-    /// [`crate::static_schedule::rate_optimal_schedule_with_budget`]).
+    /// A rate-optimal static periodic schedule (see
+    /// [`crate::static_schedule::rate_optimal_schedule`]) under the session
+    /// budget.
+    ///
+    /// HSDF graphs produced by the traditional conversion have `Σγ(a)`
+    /// actors — potentially exponential in the original description — and
+    /// schedule synthesis runs an `O(n³)` Kleene star over them. The size
+    /// cap rejects oversized inputs before the `n×n` constraint matrix is
+    /// allocated; the deadline and cancellation flag are polled before and
+    /// after the closure. Each call charges a fresh meter, not the session
+    /// total.
     ///
     /// Not memoized: the result is large and typically requested once.
     ///
     /// # Errors
     ///
-    /// See [`crate::static_schedule::rate_optimal_schedule_with_budget`].
+    /// As [`crate::static_schedule::rate_optimal_schedule`], plus
+    /// [`SdfError::Exhausted`] when the budget refuses the input or runs out.
     pub fn rate_optimal_schedule(&self) -> Result<Option<StaticSchedule>, SdfError> {
-        rate_optimal_schedule_with_budget(&self.graph, &self.budget)
+        synthesize_rate_optimal(&self.graph, &mut self.budget.meter())
     }
 
     /// Throughput-preserving channel capacities (see
-    /// [`crate::buffer::sufficient_capacities_with_budget`]), reusing the
-    /// session's cached unconstrained period as the target.
+    /// [`crate::buffer::sufficient_capacities`]), reusing the session's
+    /// cached unconstrained period as the target.
+    ///
+    /// Every probe of the search (the self-timed simulation and each
+    /// verification of a candidate allocation) is charged against the
+    /// session budget: a deadline or cancellation flag bounds the whole
+    /// search, while a firing cap applies to each probe individually (each
+    /// probe creates its own meter).
     ///
     /// Not memoized: the result depends on `iterations`.
     ///
     /// # Errors
     ///
-    /// See [`crate::buffer::sufficient_capacities_with_budget`].
+    /// As [`crate::buffer::sufficient_capacities`], plus
+    /// [`SdfError::Exhausted`] when the budget runs out mid-search.
     pub fn sufficient_capacities(&self, iterations: u64) -> Result<Vec<u64>, SdfError> {
         let target = self.eigenvalue()?;
         sufficient_capacities_with_target(&self.graph, iterations, &self.budget, target)
     }
 
     /// Locally-minimal throughput-preserving capacities (see
-    /// [`crate::buffer::minimize_capacities_with_budget`]), reusing the
-    /// session's cached unconstrained period as the target. The shrink
-    /// search fans out over scoped threads.
+    /// [`crate::buffer::minimize_capacities`]), reusing the session's cached
+    /// unconstrained period as the target. The shrink search fans out over
+    /// scoped threads; its probes are charged as in
+    /// [`Self::sufficient_capacities`].
     ///
     /// Not memoized: the result depends on `iterations`.
     ///
     /// # Errors
     ///
-    /// See [`crate::buffer::minimize_capacities_with_budget`].
+    /// As [`crate::buffer::minimize_capacities`], plus
+    /// [`SdfError::Exhausted`] when the budget runs out mid-search.
     pub fn minimize_capacities(&self, iterations: u64) -> Result<Vec<u64>, SdfError> {
         let target = self.eigenvalue()?;
         minimize_capacities_with_target(&self.graph, iterations, &self.budget, target)

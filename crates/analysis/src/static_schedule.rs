@@ -15,7 +15,7 @@
 //! longest-path potentials of the constraint graph, computed with the
 //! max-plus Kleene star at an integer scale that clears λ's denominator.
 
-use sdfr_graph::budget::Budget;
+use sdfr_graph::budget::{Budget, BudgetMeter};
 use sdfr_graph::{ActorId, SdfError, SdfGraph, Time};
 use sdfr_maxplus::{closure, Mp, MpMatrix, MpVector, Rational};
 
@@ -114,27 +114,18 @@ impl StaticSchedule {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn rate_optimal_schedule(g: &SdfGraph) -> Result<Option<StaticSchedule>, SdfError> {
-    rate_optimal_schedule_with_budget(g, &Budget::unlimited())
+    synthesize_rate_optimal(g, &mut Budget::unlimited().meter())
 }
 
-/// [`rate_optimal_schedule`] under a resource [`Budget`].
-///
-/// HSDF graphs produced by the traditional conversion have `Σγ(a)` actors —
-/// potentially exponential in the original description — and schedule
-/// synthesis runs an `O(n³)` Kleene star over them. The budget's size cap
-/// rejects oversized inputs before the `n×n` constraint matrix is
-/// allocated; its deadline and cancellation flag are polled before and
-/// after the closure.
-///
-/// # Errors
-///
-/// As [`rate_optimal_schedule`], plus [`SdfError::Exhausted`] when the
-/// budget refuses the input or runs out.
-pub fn rate_optimal_schedule_with_budget(
+/// [`rate_optimal_schedule`] charged to `meter`: the size cap admits the
+/// `n×n` constraint matrix before it is allocated, and the deadline and
+/// cancellation flag are polled before and after the closure. The capped
+/// form is
+/// [`AnalysisSession::rate_optimal_schedule`](crate::AnalysisSession::rate_optimal_schedule).
+pub(crate) fn synthesize_rate_optimal(
     g: &SdfGraph,
-    budget: &Budget,
+    meter: &mut BudgetMeter<'_>,
 ) -> Result<Option<StaticSchedule>, SdfError> {
-    let mut meter = budget.meter();
     meter.check_size(g.num_actors() as u64)?;
     meter.poll()?;
     match hsdf_period(g)? {
@@ -217,6 +208,7 @@ pub fn utilization(g: &SdfGraph, schedule: &StaticSchedule) -> Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalysisSession;
 
     fn two_cycle() -> SdfGraph {
         let mut b = SdfGraph::builder("g");
@@ -360,10 +352,11 @@ mod tests {
         let g = two_cycle(); // 2 actors
         let tight = Budget::unlimited().with_max_size(1);
         assert!(matches!(
-            rate_optimal_schedule_with_budget(&g, &tight),
+            AnalysisSession::with_budget(g.clone(), tight).rate_optimal_schedule(),
             Err(SdfError::Exhausted { .. })
         ));
-        let ok = rate_optimal_schedule_with_budget(&g, &Budget::unlimited().with_max_size(2))
+        let ok = AnalysisSession::with_budget(g.clone(), Budget::unlimited().with_max_size(2))
+            .rate_optimal_schedule()
             .unwrap()
             .unwrap();
         assert_eq!(ok.period(), Rational::from(5));

@@ -13,11 +13,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdfr_graph::budget::{Budget, BudgetMeter};
-use sdfr_graph::repetition::{repetition_vector, RepetitionVector};
-use sdfr_graph::schedule::{sequential_schedule_metered, Schedule};
+use sdfr_graph::repetition::RepetitionVector;
 use sdfr_graph::{ChannelId, SdfError, SdfGraph};
 use sdfr_maxplus::{MpMatrix, MpVector};
+
+use crate::engine::SymbolicEngine;
+use crate::session::AnalysisSession;
 
 /// Identifies one initial token: the `position`-th token (FIFO order, 0 is
 /// the head) on `channel`.
@@ -89,10 +90,18 @@ impl SymbolicIteration {
 /// Symbolically executes one iteration of `g` and returns its max-plus
 /// matrix (Algorithm 1, lines 1–11).
 ///
+/// The execution fires `Σγ(a)` actors — potentially exponential in the
+/// graph description (paper, Sec. 2) — and builds an `N×N` matrix over the
+/// `N` initial tokens. This form runs uncapped; to bound either with a
+/// [`Budget`](sdfr_graph::budget::Budget), use
+/// [`AnalysisSession::symbolic`] on
+/// [`AnalysisSession::with_budget`].
+///
 /// # Errors
 ///
 /// - [`SdfError::Inconsistent`] if `g` has no repetition vector,
-/// - [`SdfError::Deadlock`] if no sequential schedule exists.
+/// - [`SdfError::Deadlock`] if no sequential schedule exists,
+/// - [`SdfError::Overflow`] if time stamps exceed the integer range.
 ///
 /// # Example
 ///
@@ -118,42 +127,7 @@ impl SymbolicIteration {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn symbolic_iteration(g: &SdfGraph) -> Result<SymbolicIteration, SdfError> {
-    let budget = Budget::unlimited();
-    let mut meter = budget.meter();
-    run(g, false, &mut meter)
-}
-
-/// [`symbolic_iteration`] under a resource [`Budget`].
-///
-/// The symbolic execution fires `Σγ(a)` actors — potentially exponential in
-/// the graph description (paper, Sec. 2) — and builds an `N×N` matrix over
-/// the `N` initial tokens. The budget's firing cap bounds the former, its
-/// size cap the latter, and the deadline both.
-///
-/// # Errors
-///
-/// As [`symbolic_iteration`], plus [`SdfError::Exhausted`] when the budget
-/// runs out and [`SdfError::Overflow`] if time stamps exceed the integer
-/// range.
-pub fn symbolic_iteration_with_budget(
-    g: &SdfGraph,
-    budget: &Budget,
-) -> Result<SymbolicIteration, SdfError> {
-    let mut meter = budget.meter();
-    run(g, false, &mut meter)
-}
-
-/// [`symbolic_iteration`] charging an existing [`BudgetMeter`], for
-/// composite analyses that account several phases against one budget.
-///
-/// # Errors
-///
-/// See [`symbolic_iteration_with_budget`].
-pub fn symbolic_iteration_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    run(g, false, meter)
+    cold_iteration(g, false)
 }
 
 /// Like [`symbolic_iteration`], additionally recording the symbolic
@@ -163,78 +137,32 @@ pub fn symbolic_iteration_metered(
 /// stamps are needed (e.g. to wire an observed output actor into the novel
 /// HSDF conversion).
 ///
+/// The capped form is [`AnalysisSession::symbolic_with_stamps`].
+///
 /// # Errors
 ///
 /// See [`symbolic_iteration`].
 pub fn symbolic_iteration_with_stamps(g: &SdfGraph) -> Result<SymbolicIteration, SdfError> {
-    let budget = Budget::unlimited();
-    let mut meter = budget.meter();
-    run(g, true, &mut meter)
+    cold_iteration(g, true)
 }
 
-/// [`symbolic_iteration_with_stamps`] charging an existing [`BudgetMeter`].
-///
-/// # Errors
-///
-/// See [`symbolic_iteration_with_budget`].
-pub fn symbolic_iteration_with_stamps_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    run(g, true, meter)
-}
-
-fn run(
-    g: &SdfGraph,
-    record_stamps: bool,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    let gamma = repetition_vector(g)?;
-
-    // The matrix is N×N over the N initial tokens and every stamp vector has
-    // N entries: refuse to build the state before allocating it when the
-    // size cap says it cannot be afforded.
-    let token_total = g
-        .channels()
-        .try_fold(0u64, |s, (_, ch)| s.checked_add(ch.initial_tokens()))
-        .ok_or(SdfError::Overflow {
-            what: "initial token count",
-        })?;
-    meter.check_size(token_total)?;
-
-    let schedule = sequential_schedule_metered(g, &gamma, meter)?;
-    symbolic_iteration_scheduled(g, &gamma, &schedule, record_stamps, meter)
-}
-
-/// Symbolically executes one iteration of `g` against a precomputed
-/// repetition vector and sequential schedule, charging only the firing loop
-/// to `meter`.
-///
-/// This is the primitive behind [`symbolic_iteration`] used by
-/// [`AnalysisSession`](crate::session::AnalysisSession) to reuse its cached
-/// γ and schedule instead of recomputing them. `schedule` must be a valid
-/// single-iteration schedule of `g` for `gamma`; the stamp bookkeeping
-/// panics on token underflow otherwise.
-///
-/// # Errors
-///
-/// See [`symbolic_iteration_with_budget`].
-pub fn symbolic_iteration_scheduled(
-    g: &SdfGraph,
-    gamma: &RepetitionVector,
-    schedule: &Schedule,
-    record_stamps: bool,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<SymbolicIteration, SdfError> {
-    let mut engine =
-        crate::engine::SymbolicEngine::new(Arc::new(g.clone()), gamma, record_stamps, meter)?;
-    engine.run_scheduled(schedule, meter)?;
-    Ok(engine.finish())
+/// The uncapped iteration: the session's γ → size cap → schedule sequence
+/// on a throwaway session, finished by a plain cold engine that records no
+/// checkpoints and leaves no archive.
+fn cold_iteration(g: &SdfGraph, record_stamps: bool) -> Result<SymbolicIteration, SdfError> {
+    let session = AnalysisSession::new(g.clone());
+    session.run_symbolic(|gamma, schedule, meter| {
+        let mut engine =
+            SymbolicEngine::new(Arc::clone(session.graph()), gamma, record_stamps, meter)?;
+        engine.run_scheduled(schedule, meter)?;
+        Ok(engine.finish())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdfr_graph::budget::Budget;
     use sdfr_maxplus::{Mp, Rational};
 
     /// The running example of the paper's Fig. 3: two actors, the left one
@@ -382,14 +310,16 @@ mod tests {
     fn budget_caps_symbolic_firings() {
         let g = fig3(); // 3 firings per iteration
         let b = Budget::unlimited().with_max_firings(2);
-        match symbolic_iteration_with_budget(&g, &b) {
+        match AnalysisSession::with_budget(g.clone(), b).symbolic() {
             // The schedule precheck rejects the 3-firing iteration before
             // any work is done, so nothing has been spent yet.
             Err(SdfError::Exhausted { limit: 2, .. }) => {}
             other => panic!("expected Exhausted, got {other:?}"),
         }
         let b = Budget::unlimited().with_max_firings(100);
-        assert!(symbolic_iteration_with_budget(&g, &b).is_ok());
+        assert!(AnalysisSession::with_budget(g.clone(), b)
+            .symbolic()
+            .is_ok());
     }
 
     #[test]
@@ -397,11 +327,13 @@ mod tests {
         let g = fig3(); // 4 initial tokens => 4x4 matrix
         let b = Budget::unlimited().with_max_size(3);
         assert!(matches!(
-            symbolic_iteration_with_budget(&g, &b),
+            AnalysisSession::with_budget(g.clone(), b).symbolic(),
             Err(SdfError::Exhausted { .. })
         ));
         let b = Budget::unlimited().with_max_size(4);
-        assert!(symbolic_iteration_with_budget(&g, &b).is_ok());
+        assert!(AnalysisSession::with_budget(g.clone(), b)
+            .symbolic()
+            .is_ok());
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //! 3. [`estimate_period_simulated`] — empirical: slope of iteration
 //!    completion times in an event-driven simulation.
 
-use sdfr_graph::budget::{Budget, BudgetMeter, BudgetResource};
+use sdfr_graph::budget::BudgetResource;
 use sdfr_graph::execution::simulate_iterations;
 use sdfr_graph::repetition::RepetitionVector;
 use sdfr_graph::{ActorId, SdfError, SdfGraph};
 use sdfr_maxplus::{recurrence, Rational};
 
 use crate::mcm::{self, CycleRatio, CycleRatioGraph};
-use crate::symbolic::{symbolic_iteration, symbolic_iteration_metered};
+use crate::symbolic::symbolic_iteration;
 
 /// The throughput of a consistent, deadlock-free SDF graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +81,13 @@ impl ThroughputAnalysis {
 /// Computes the throughput of `g` spectrally: symbolic iteration → max-plus
 /// matrix → eigenvalue (maximum cycle mean via Karp per SCC).
 ///
+/// This form runs uncapped. Under a resource
+/// [`Budget`](sdfr_graph::budget::Budget), use
+/// [`AnalysisSession::throughput`](crate::AnalysisSession::throughput) on
+/// [`AnalysisSession::with_budget`](crate::AnalysisSession::with_budget): the
+/// symbolic iteration with its `Σγ(a)` firings is charged to the budget, and
+/// the eigenvalue runs after the size cap has admitted the `N×N` matrix.
+///
 /// # Errors
 ///
 /// - [`SdfError::Inconsistent`] if `g` has no repetition vector,
@@ -106,41 +113,6 @@ impl ThroughputAnalysis {
 /// ```
 pub fn throughput(g: &SdfGraph) -> Result<ThroughputAnalysis, SdfError> {
     crate::session::AnalysisSession::new(g.clone()).throughput()
-}
-
-/// [`throughput`] under a resource [`Budget`].
-///
-/// The dominant cost — the symbolic iteration with its `Σγ(a)` firings — is
-/// charged to the budget; the eigenvalue computation on the resulting `N×N`
-/// matrix is polynomial in `N` and runs after the size cap has admitted `N`.
-///
-/// # Errors
-///
-/// As [`throughput`], plus [`SdfError::Exhausted`] when the budget runs out
-/// before the analysis completes.
-pub fn throughput_with_budget(
-    g: &SdfGraph,
-    budget: &Budget,
-) -> Result<ThroughputAnalysis, SdfError> {
-    crate::session::AnalysisSession::with_budget(g.clone(), budget.clone()).throughput()
-}
-
-/// [`throughput`] charging an existing [`BudgetMeter`], for composite
-/// analyses that account several phases against one budget.
-///
-/// # Errors
-///
-/// See [`throughput_with_budget`].
-pub fn throughput_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<ThroughputAnalysis, SdfError> {
-    let sym = symbolic_iteration_metered(g, meter)?;
-    meter.poll()?;
-    Ok(ThroughputAnalysis {
-        period: sym.matrix.eigenvalue(),
-        gamma: sym.gamma,
-    })
 }
 
 /// Computes the throughput of `g` operationally: iterate the max-plus
@@ -263,6 +235,8 @@ pub fn hsdf_period(g: &SdfGraph) -> Result<CycleRatio, SdfError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalysisSession;
+    use sdfr_graph::budget::Budget;
 
     fn cycle_graph() -> SdfGraph {
         let mut b = SdfGraph::builder("cycle");
@@ -363,14 +337,16 @@ mod tests {
         let g = multirate_graph(); // iteration length 5
         let tight = Budget::unlimited().with_max_firings(3);
         assert!(matches!(
-            throughput_with_budget(&g, &tight),
+            AnalysisSession::with_budget(g.clone(), tight).throughput(),
             Err(SdfError::Exhausted {
                 resource: BudgetResource::Firings,
                 ..
             })
         ));
         let ample = Budget::unlimited().with_max_firings(1_000);
-        let t = throughput_with_budget(&g, &ample).unwrap();
+        let t = AnalysisSession::with_budget(g.clone(), ample)
+            .throughput()
+            .unwrap();
         assert_eq!(t.period(), throughput(&g).unwrap().period());
     }
 

@@ -46,9 +46,7 @@ mod workload;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use sdfr_analysis::buffer::self_timed_buffer_bounds_with_budget;
 use sdfr_analysis::latency::periodic_source_latency;
-use sdfr_analysis::static_schedule::rate_optimal_schedule_with_budget;
 use sdfr_analysis::throughput::throughput;
 use sdfr_analysis::AnalysisSession;
 use sdfr_api::WorkloadKind;
@@ -869,7 +867,11 @@ fn cmd_buffers(
     out: &mut String,
 ) -> Result<(), CliError> {
     let iterations = flag_value(opts, "--iterations")?.unwrap_or(16);
-    let peaks = self_timed_buffer_bounds_with_budget(g, iterations, budget)?;
+    let peaks = simulate(
+        g,
+        &SimulationOptions::iterations(iterations).with_budget(budget.clone()),
+    )?
+    .channel_peak_tokens;
     let session = AnalysisSession::with_budget(g.clone(), budget.clone());
     let minimal = session.minimize_capacities(iterations)?;
     let _ = writeln!(
@@ -916,7 +918,7 @@ fn cmd_latency(g: &SdfGraph, opts: &[String], out: &mut String) -> Result<(), Cl
 }
 
 fn cmd_schedule(g: &SdfGraph, budget: &Budget, out: &mut String) -> Result<(), CliError> {
-    match rate_optimal_schedule_with_budget(g, budget)? {
+    match AnalysisSession::with_budget(g.clone(), budget.clone()).rate_optimal_schedule()? {
         None => {
             let _ = writeln!(out, "no recurrent constraint: any period admits a schedule");
         }
@@ -1278,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn convert_fails_distinctly_when_exhausted() {
+    fn budgeted_commands_fail_distinctly_when_exhausted() {
         let f = write_temp(
             "graph huge\nactor x 1\nactor y 1\nchannel x y 1000000000 1 0\n",
             "sdf",
@@ -1288,6 +1290,49 @@ mod tests {
         assert!(t0.elapsed() < std::time::Duration::from_secs(1));
         assert_eq!(err.kind, CliErrorKind::Exhausted);
         assert_eq!(err.exit_code(), EXIT_EXHAUSTED);
+
+        // γ = (3, 2), 6 initial tokens: each budgeted path names the cap it
+        // hit and what it had spent.
+        let f = write_temp(
+            "graph updown\nactor a 2\nactor b 3\nchannel a b 2 3 0\nchannel b a 3 2 6\n",
+            "sdf",
+        );
+        for (cmd, extra, used) in [
+            (
+                "buffers",
+                &["--max-firings", "1"][..],
+                "firings used 0 of limit 1",
+            ),
+            (
+                "schedule",
+                &["--max-size", "1"],
+                "state size used 2 of limit 1",
+            ),
+            (
+                "convert",
+                &["--novel", "--max-size", "1"],
+                "state size used 6 of limit 1",
+            ),
+            (
+                "convert",
+                &["--traditional", "--max-firings", "1"],
+                "firings used 0 of limit 1",
+            ),
+            (
+                "simulate",
+                &["--max-firings", "1"],
+                "firings used 0 of limit 1",
+            ),
+        ] {
+            let err = run_on(cmd, &f, extra).unwrap_err();
+            assert_eq!(err.kind, CliErrorKind::Exhausted, "{cmd} {extra:?}");
+            assert_eq!(err.exit_code(), EXIT_EXHAUSTED, "{cmd} {extra:?}");
+            assert_eq!(
+                err.message,
+                format!("resource budget exhausted: {used}"),
+                "{cmd} {extra:?}"
+            );
+        }
     }
 
     #[test]

@@ -286,7 +286,7 @@ struct ConnQueue {
 impl ConnQueue {
     fn new(cap: usize) -> Self {
         ConnQueue {
-            inner: Mutex::new(VecDeque::with_capacity(cap)),
+            inner: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             cap,
         }
@@ -1578,6 +1578,19 @@ mod tests {
             proxy,
         }));
         state
+    }
+
+    #[test]
+    fn queue_depth_is_a_cap_not_an_allocation() {
+        // `--queue` bounds the depth in `try_push`; nothing is reserved up
+        // front, so even the largest depth starts empty and cheap.
+        let queue = ConnQueue::new(usize::MAX);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(queue.try_push(accepted).is_ok());
+        let popped = queue.pop().expect("the queued connection");
+        assert_eq!(popped.peer_addr().unwrap(), client.local_addr().unwrap());
     }
 
     #[test]

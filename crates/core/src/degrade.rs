@@ -2,7 +2,8 @@
 //!
 //! Exact throughput analysis executes a full symbolic iteration — `Σγ(a)`
 //! firings, potentially exponential in the graph description (paper,
-//! Secs. 2 and 6). When a resource [`Budget`] is exhausted before the exact
+//! Secs. 2 and 6). When a resource
+//! [`Budget`](sdfr_graph::budget::Budget) is exhausted before the exact
 //! answer is found, this module produces a *safe* answer instead of none:
 //! an upper bound on the iteration period that the true period provably
 //! does not exceed.
@@ -28,7 +29,6 @@
 //! detected. Degraded results therefore carry a liveness caveat, not a
 //! liveness proof.
 
-use sdfr_graph::budget::Budget;
 use sdfr_graph::repetition::repetition_vector;
 use sdfr_graph::{SdfError, SdfGraph};
 use sdfr_maxplus::Rational;
@@ -244,14 +244,17 @@ fn serialization_bound(g: &SdfGraph) -> Result<Rational, CoreError> {
     Ok(Rational::from(total))
 }
 
-/// Analyzes the throughput of `g` under a resource budget, degrading to a
-/// conservative bound when the budget is exhausted.
+/// Analyzes the throughput of the session's graph under the session budget,
+/// degrading to a conservative bound when the budget is exhausted.
 ///
 /// This is the library-level equivalent of `sdfr analyze --deadline …`:
-/// the exact spectral analysis runs first with every step charged to
-/// `budget`; on [`SdfError::Exhausted`] the cheap (iteration-free)
+/// the exact spectral analysis reuses (or populates) the session's cached
+/// symbolic iteration with every step charged to the session budget; on
+/// [`SdfError::Exhausted`] the cheap (iteration-free)
 /// [`conservative_period_fallback`] stands in, and the exhaustion is
-/// reported alongside the bound rather than swallowed.
+/// reported alongside the bound rather than swallowed. The fallback bound
+/// is iteration-free, so it remains available even when the session budget
+/// is already exhausted.
 ///
 /// # Errors
 ///
@@ -262,7 +265,8 @@ fn serialization_bound(g: &SdfGraph) -> Result<Rational, CoreError> {
 /// # Example
 ///
 /// ```
-/// use sdfr_core::degrade::{analyze_with_budget, AnalysisOutcome};
+/// use sdfr_core::degrade::{analyze_with_session, AnalysisOutcome};
+/// use sdfr_core::AnalysisSession;
 /// use sdfr_graph::budget::Budget;
 /// use sdfr_graph::SdfGraph;
 ///
@@ -274,7 +278,7 @@ fn serialization_bound(g: &SdfGraph) -> Result<Rational, CoreError> {
 /// b.channel(x, y, 1_000_000_000, 1, 0)?;
 /// let g = b.build()?;
 /// let budget = Budget::unlimited().with_max_firings(1_000_000);
-/// match analyze_with_budget(&g, &budget)? {
+/// match analyze_with_session(&AnalysisSession::with_budget(g, budget))? {
 ///     AnalysisOutcome::Degraded { bound, .. } => {
 ///         assert_eq!(bound.bound, 1_000_000_001i64.into());
 ///     }
@@ -282,22 +286,6 @@ fn serialization_bound(g: &SdfGraph) -> Result<Rational, CoreError> {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn analyze_with_budget(g: &SdfGraph, budget: &Budget) -> Result<AnalysisOutcome, CoreError> {
-    analyze_with_session(&sdfr_analysis::AnalysisSession::with_budget(
-        g.clone(),
-        budget.clone(),
-    ))
-}
-
-/// [`analyze_with_budget`] on an [`AnalysisSession`](sdfr_analysis::AnalysisSession):
-/// the exact analysis reuses (or populates) the session's cached symbolic
-/// iteration under the session budget, and degradation works as in
-/// [`analyze_with_budget`]. The fallback bound is iteration-free, so it
-/// remains available even when the session budget is already exhausted.
-///
-/// # Errors
-///
-/// See [`analyze_with_budget`].
 pub fn analyze_with_session(
     session: &sdfr_analysis::AnalysisSession,
 ) -> Result<AnalysisOutcome, CoreError> {
@@ -315,6 +303,8 @@ pub fn analyze_with_session(
 mod tests {
     use super::*;
     use sdfr_analysis::throughput::throughput;
+    use sdfr_analysis::AnalysisSession;
+    use sdfr_graph::budget::Budget;
     use sdfr_graph::budget::BudgetResource;
     use std::time::{Duration, Instant};
 
@@ -333,7 +323,7 @@ mod tests {
             .with_max_firings(1_000_000)
             .with_deadline(Duration::from_secs(1));
         let t0 = Instant::now();
-        let outcome = analyze_with_budget(&g, &budget).unwrap();
+        let outcome = analyze_with_session(&AnalysisSession::with_budget(g, budget)).unwrap();
         assert!(t0.elapsed() < Duration::from_secs(1), "must degrade fast");
         match &outcome {
             AnalysisOutcome::Degraded { exhausted, bound } => {
@@ -356,8 +346,8 @@ mod tests {
         b.channel(x, y, 1, 1, 0).unwrap();
         b.channel(y, x, 1, 1, 1).unwrap();
         let g = b.build().unwrap();
-        let outcome =
-            analyze_with_budget(&g, &Budget::unlimited().with_max_firings(1_000)).unwrap();
+        let session = AnalysisSession::with_budget(g, Budget::unlimited().with_max_firings(1_000));
+        let outcome = analyze_with_session(&session).unwrap();
         assert_eq!(outcome, AnalysisOutcome::Exact(Some(Rational::from(5))));
         assert!(outcome.is_exact());
     }
@@ -454,7 +444,7 @@ mod tests {
         let g = b.build().unwrap();
         assert!(conservative_period_fallback(&g).is_err());
         let budget = Budget::unlimited().with_max_firings(10);
-        assert!(analyze_with_budget(&g, &budget).is_err());
+        assert!(analyze_with_session(&AnalysisSession::with_budget(g, budget)).is_err());
     }
 
     #[test]
@@ -464,7 +454,7 @@ mod tests {
         let g = huge_multirate();
         let flag = Arc::new(AtomicBool::new(true)); // cancelled up front
         let budget = Budget::unlimited().with_cancel_flag(flag);
-        match analyze_with_budget(&g, &budget).unwrap() {
+        match analyze_with_session(&AnalysisSession::with_budget(g, budget)).unwrap() {
             AnalysisOutcome::Degraded { exhausted, .. } => {
                 assert!(matches!(
                     exhausted,
@@ -483,7 +473,8 @@ mod tests {
         let x = b.actor("x", 1);
         b.channel(x, x, 1, 1, 1).unwrap();
         let g = b.build().unwrap();
-        let outcome = analyze_with_budget(&g, &Budget::unlimited().with_cancel_flag(flag)).unwrap();
+        let session = AnalysisSession::with_budget(g, Budget::unlimited().with_cancel_flag(flag));
+        let outcome = analyze_with_session(&session).unwrap();
         assert!(outcome.is_exact());
     }
 }

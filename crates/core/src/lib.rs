@@ -58,8 +58,7 @@ pub mod unfold;
 
 pub use abstraction::{abstract_graph, Abstraction, AbstractionBuilder};
 pub use degrade::{
-    analyze_with_budget, analyze_with_session, AnalysisOutcome, ConservativeBound, FallbackMethod,
-    OutcomeAggregate,
+    analyze_with_session, AnalysisOutcome, ConservativeBound, FallbackMethod, OutcomeAggregate,
 };
 pub use error::CoreError;
 pub use novel::NovelConversion;

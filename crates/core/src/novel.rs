@@ -22,9 +22,8 @@
 //! (e.g. an output actor) can be re-attached with
 //! [`convert_with_observers`].
 
-use sdfr_analysis::symbolic::{symbolic_iteration, symbolic_iteration_metered, SymbolicIteration};
+use sdfr_analysis::symbolic::{symbolic_iteration, SymbolicIteration};
 use sdfr_analysis::AnalysisSession;
-use sdfr_graph::budget::{Budget, BudgetMeter};
 use sdfr_graph::{ActorId, SdfError, SdfGraph};
 use sdfr_maxplus::{Mp, MpMatrix};
 
@@ -77,6 +76,9 @@ impl NovelConversion {
 
 /// Converts `g` into a compact throughput-equivalent HSDF graph.
 ///
+/// This form runs uncapped; the capped form is [`convert_with_session`] on
+/// [`AnalysisSession::with_budget`].
+///
 /// # Errors
 ///
 /// - [`SdfError::Inconsistent`] if `g` has no repetition vector,
@@ -106,44 +108,19 @@ pub fn convert(g: &SdfGraph) -> Result<NovelConversion, SdfError> {
 
 /// [`convert`] on an [`AnalysisSession`], reusing its cached symbolic
 /// iteration (and caching it for later analyses if absent) instead of
-/// re-executing the graph. Any budget attached to the session applies.
+/// re-executing the graph.
 ///
-/// # Errors
-///
-/// See [`convert`] and the session's budget semantics.
-pub fn convert_with_session(session: &AnalysisSession) -> Result<NovelConversion, SdfError> {
-    let sym = session.symbolic()?.clone();
-    Ok(build(session.graph(), sym, &[], true))
-}
-
-/// [`convert`] under a resource [`Budget`].
-///
-/// The symbolic iteration performs `Σγ(a)` firings (charged against the
-/// firing cap and deadline); the token count `N` — which determines the
-/// `O(N²)` output structure — is validated against the size cap before the
-/// matrix is built.
+/// Any budget attached to the session applies: the symbolic iteration
+/// performs `Σγ(a)` firings (charged against the firing cap and deadline),
+/// and the token count `N` — which determines the `O(N²)` output structure
+/// — is validated against the size cap before the matrix is built.
 ///
 /// # Errors
 ///
 /// As [`convert`], plus [`SdfError::Exhausted`] when the budget runs out.
-pub fn convert_with_budget(g: &SdfGraph, budget: &Budget) -> Result<NovelConversion, SdfError> {
-    let mut meter = budget.meter();
-    convert_metered(g, &mut meter)
-}
-
-/// [`convert`] charging an existing [`BudgetMeter`], for pipelines that
-/// account several phases against one budget.
-///
-/// # Errors
-///
-/// See [`convert_with_budget`].
-pub fn convert_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<NovelConversion, SdfError> {
-    let sym = symbolic_iteration_metered(g, meter)?;
-    meter.poll()?;
-    Ok(build(g, sym, &[], true))
+pub fn convert_with_session(session: &AnalysisSession) -> Result<NovelConversion, SdfError> {
+    let sym = session.symbolic()?.clone();
+    Ok(build(session.graph(), sym, &[], true))
 }
 
 /// [`convert`] without the mux/demux elision optimization: every token gets
@@ -365,6 +342,7 @@ fn build(
 mod tests {
     use super::*;
     use sdfr_analysis::throughput::{hsdf_period, throughput};
+    use sdfr_graph::budget::Budget;
     use sdfr_graph::execution::{simulate, SimulationOptions};
     use sdfr_maxplus::Rational;
 
@@ -579,18 +557,14 @@ mod tests {
     #[test]
     fn budget_bounds_novel_conversion() {
         let g = updown(); // Σγ = 3 + 2 = 5, N = 6
+        let capped =
+            |budget| convert_with_session(&AnalysisSession::with_budget(g.clone(), budget));
         let tight = Budget::unlimited().with_max_firings(2);
-        assert!(matches!(
-            convert_with_budget(&g, &tight),
-            Err(SdfError::Exhausted { .. })
-        ));
+        assert!(matches!(capped(tight), Err(SdfError::Exhausted { .. })));
         let sized = Budget::unlimited().with_max_size(5); // N = 6 > 5
-        assert!(matches!(
-            convert_with_budget(&g, &sized),
-            Err(SdfError::Exhausted { .. })
-        ));
+        assert!(matches!(capped(sized), Err(SdfError::Exhausted { .. })));
         let ample = Budget::unlimited().with_max_firings(100).with_max_size(6);
-        let conv = convert_with_budget(&g, &ample).unwrap();
+        let conv = capped(ample).unwrap();
         assert_eq!(
             conv.graph.num_actors(),
             convert(&g).unwrap().graph.num_actors()

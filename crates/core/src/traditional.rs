@@ -46,6 +46,9 @@ impl TraditionalConversion {
 /// keeping the smallest delay (the others are redundant constraints), so
 /// the edge count stays manageable; the actor count is exactly `Σγ`.
 ///
+/// This form runs uncapped; the capped form is [`convert_with_session`] on
+/// [`AnalysisSession::with_budget`].
+///
 /// # Errors
 ///
 /// - [`SdfError::Inconsistent`] if `g` has no repetition vector,
@@ -69,12 +72,12 @@ impl TraditionalConversion {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn convert(g: &SdfGraph) -> Result<TraditionalConversion, SdfError> {
-    let budget = Budget::unlimited();
-    let mut meter = budget.meter();
-    convert_metered(g, &mut meter)
+    let gamma = repetition_vector(g)?;
+    convert_with_gamma(g, &gamma, &mut Budget::unlimited().meter())
 }
 
-/// [`convert`] under a resource [`Budget`].
+/// [`convert`] on an [`AnalysisSession`]: reuses the session's cached
+/// repetition vector and charges the expansion to the session budget.
 ///
 /// The conversion materialises `Σγ(a)` actors — potentially exponential in
 /// the graph description — so the repetition-vector sum is validated against
@@ -85,41 +88,13 @@ pub fn convert(g: &SdfGraph) -> Result<TraditionalConversion, SdfError> {
 ///
 /// As [`convert`], plus [`SdfError::Exhausted`] when the budget refuses the
 /// expansion or runs out mid-way.
-pub fn convert_with_budget(
-    g: &SdfGraph,
-    budget: &Budget,
-) -> Result<TraditionalConversion, SdfError> {
-    let mut meter = budget.meter();
-    convert_metered(g, &mut meter)
-}
-
-/// [`convert`] charging an existing [`BudgetMeter`], for pipelines that
-/// account several phases against one budget.
-///
-/// # Errors
-///
-/// See [`convert_with_budget`].
-pub fn convert_metered(
-    g: &SdfGraph,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<TraditionalConversion, SdfError> {
-    let gamma = repetition_vector(g)?;
-    convert_with_gamma(g, &gamma, meter)
-}
-
-/// [`convert`] on an [`AnalysisSession`]: reuses the session's cached
-/// repetition vector and charges the expansion to the session budget.
-///
-/// # Errors
-///
-/// See [`convert_with_budget`].
 pub fn convert_with_session(session: &AnalysisSession) -> Result<TraditionalConversion, SdfError> {
     let gamma = session.repetition_vector()?;
     session.with_meter(|m| convert_with_gamma(session.graph(), gamma, m))
 }
 
-/// [`convert_metered`] with a precomputed repetition vector, the shared
-/// backend of the free-function and session entry points.
+/// [`convert`] with a precomputed repetition vector, charged to `meter`: the
+/// shared backend of the free-function and session entry points.
 fn convert_with_gamma(
     g: &SdfGraph,
     gamma: &RepetitionVector,
@@ -332,7 +307,7 @@ mod tests {
         let budget = Budget::unlimited().with_max_size(1_000_000);
         let t0 = Instant::now();
         assert!(matches!(
-            convert_with_budget(&g, &budget),
+            convert_with_session(&AnalysisSession::with_budget(g, budget)),
             Err(SdfError::Exhausted { .. })
         ));
         assert!(t0.elapsed().as_millis() < 1000, "must fail fast");
@@ -342,7 +317,8 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel(x, y, 2, 1, 0).unwrap();
         let g = b.build().unwrap();
-        let conv = convert_with_budget(&g, &Budget::unlimited().with_max_size(16)).unwrap();
+        let session = AnalysisSession::with_budget(g, Budget::unlimited().with_max_size(16));
+        let conv = convert_with_session(&session).unwrap();
         assert_eq!(conv.graph.num_actors(), 3);
     }
 

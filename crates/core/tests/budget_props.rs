@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use sdfr_analysis::throughput::{throughput, throughput_with_budget};
-use sdfr_core::degrade::{analyze_with_budget, AnalysisOutcome};
+use sdfr_analysis::throughput::throughput;
+use sdfr_core::degrade::{analyze_with_session, AnalysisOutcome};
+use sdfr_core::AnalysisSession;
 use sdfr_graph::budget::{Budget, BudgetResource};
 use sdfr_graph::{SdfError, SdfGraph};
 
@@ -78,7 +79,7 @@ proptest! {
     fn budgeted_analysis_completes_or_exhausts(g in random_graph(), cap in 1u64..=40) {
         let g = g.build();
         let budget = Budget::unlimited().with_max_firings(cap);
-        match throughput_with_budget(&g, &budget) {
+        match AnalysisSession::with_budget(g, budget).throughput() {
             Ok(_) => {}
             Err(SdfError::Exhausted { resource, spent, limit }) => {
                 prop_assert_eq!(resource, BudgetResource::Firings);
@@ -98,7 +99,7 @@ proptest! {
     fn degraded_bounds_are_sound(g in random_graph(), cap in 1u64..=20) {
         let g = g.build();
         let budget = Budget::unlimited().with_max_firings(cap);
-        match analyze_with_budget(&g, &budget) {
+        match analyze_with_session(&AnalysisSession::with_budget(g.clone(), budget)) {
             Ok(AnalysisOutcome::Exact(_)) => {}
             Ok(AnalysisOutcome::Degraded { exhausted, bound }) => {
                 prop_assert!(matches!(exhausted, SdfError::Exhausted { .. }));
@@ -132,7 +133,7 @@ proptest! {
         let g = g.build();
         let budget = Budget::unlimited().with_deadline(Duration::from_millis(200));
         let t0 = Instant::now();
-        let _ = throughput_with_budget(&g, &budget);
+        let _ = AnalysisSession::with_budget(g, budget).throughput();
         prop_assert!(t0.elapsed() < Duration::from_secs(2));
     }
 }
@@ -151,7 +152,9 @@ fn pathological_graph_exhausts_firing_cap_quickly() {
     let g = pathological();
     let budget = Budget::unlimited().with_max_firings(1_000_000);
     let t0 = Instant::now();
-    let err = throughput_with_budget(&g, &budget).unwrap_err();
+    let err = AnalysisSession::with_budget(g, budget)
+        .throughput()
+        .unwrap_err();
     assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
     assert!(
         matches!(
@@ -170,7 +173,9 @@ fn pathological_graph_exhausts_deadline_quickly() {
     let g = pathological();
     let budget = Budget::unlimited().with_deadline(Duration::from_millis(100));
     let t0 = Instant::now();
-    let err = throughput_with_budget(&g, &budget).unwrap_err();
+    let err = AnalysisSession::with_budget(g, budget)
+        .throughput()
+        .unwrap_err();
     assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
     assert!(
         matches!(
@@ -191,7 +196,7 @@ fn pathological_graph_still_gets_a_conservative_bound() {
         .with_max_firings(1_000_000)
         .with_deadline(Duration::from_secs(1));
     let t0 = Instant::now();
-    let outcome = analyze_with_budget(&g, &budget).unwrap();
+    let outcome = analyze_with_session(&AnalysisSession::with_budget(g, budget)).unwrap();
     assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
     match outcome {
         AnalysisOutcome::Degraded { exhausted, bound } => {

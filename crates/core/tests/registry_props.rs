@@ -203,7 +203,7 @@ fn concurrent_hammering_never_double_computes() {
                     let mut seen = Vec::new();
                     for round in 0..40 {
                         let g = &graphs[(t + round) % graphs.len()];
-                        let session = registry.session_with_budget(g, budget);
+                        let session = registry.lookup(g, budget).0;
                         let period = format!("{:?}", session.throughput().map(|t| t.period()));
                         seen.push(format!("{}:{}", g.name(), period));
                     }
@@ -236,7 +236,7 @@ fn concurrent_hammering_never_double_computes() {
     // no matter how many threads hammered it.
     assert!(stats.symbolic_iterations <= 3, "double-computed: {stats:?}");
     for g in &graphs {
-        let session = registry.session_with_budget(g, &budget);
+        let session = registry.lookup(g, &budget).0;
         assert!(session.symbolic_iterations_computed() <= 1);
     }
 }
@@ -311,12 +311,12 @@ fn exhaustion_is_shared_and_stable() {
 
     let registry = SessionRegistry::new();
     for _ in 0..5 {
-        let s = registry.session_with_budget(&g, &budget);
+        let s = registry.lookup(&g, &budget).0;
         assert_eq!(s.throughput().unwrap_err(), fresh_err.clone());
     }
     let stats = registry.stats();
     assert_eq!((stats.misses, stats.hits), (1, 4));
     registry.clear();
-    let s = registry.session_with_budget(&g, &budget);
+    let s = registry.lookup(&g, &budget).0;
     assert_eq!(s.throughput().unwrap_err(), fresh_err);
 }

@@ -58,7 +58,7 @@ impl std::fmt::Display for BudgetResource {
 /// use sdfr_graph::budget::Budget;
 /// use sdfr_graph::SdfError;
 /// use sdfr_graph::repetition::repetition_vector;
-/// use sdfr_graph::schedule::sequential_schedule_with_budget;
+/// use sdfr_graph::schedule::sequential_schedule_metered;
 ///
 /// // A two-actor graph whose iteration needs 1e9 + 1 firings.
 /// let mut b = sdfr_graph::SdfGraph::builder("huge");
@@ -71,7 +71,7 @@ impl std::fmt::Display for BudgetResource {
 /// let budget = Budget::unlimited()
 ///     .with_max_firings(1_000_000)
 ///     .with_deadline(Duration::from_secs(1));
-/// match sequential_schedule_with_budget(&g, &gamma, &budget) {
+/// match sequential_schedule_metered(&g, &gamma, &mut budget.meter()) {
 ///     Err(SdfError::Exhausted { limit: 1_000_000, .. }) => {} // gave up early
 ///     other => panic!("expected exhaustion, got {other:?}"),
 /// }

@@ -73,27 +73,7 @@ impl Schedule {
 /// # Ok::<(), sdfr_graph::SdfError>(())
 /// ```
 pub fn sequential_schedule(g: &SdfGraph, gamma: &RepetitionVector) -> Result<Schedule, SdfError> {
-    sequential_schedule_with_budget(g, gamma, &Budget::unlimited())
-}
-
-/// [`sequential_schedule`] under a resource [`Budget`].
-///
-/// The iteration length `Σγ(a)` can be exponential in the graph description
-/// (paper, Sec. 2); the budget's firing cap is checked *before* the schedule
-/// buffer is allocated, so a pathological graph fails fast instead of
-/// exhausting memory.
-///
-/// # Errors
-///
-/// As [`sequential_schedule`], plus [`SdfError::Exhausted`] when the budget
-/// runs out.
-pub fn sequential_schedule_with_budget(
-    g: &SdfGraph,
-    gamma: &RepetitionVector,
-    budget: &Budget,
-) -> Result<Schedule, SdfError> {
-    let mut meter = budget.meter();
-    sequential_schedule_metered(g, gamma, &mut meter)
+    sequential_schedule_metered(g, gamma, &mut Budget::unlimited().meter())
 }
 
 /// Upper bound on firings scheduled between budget checks. Splitting large
@@ -104,11 +84,18 @@ const BATCH_CHUNK: u64 = 1 << 16;
 
 /// [`sequential_schedule`] charging an existing [`BudgetMeter`]; composite
 /// analyses use this to account schedule construction and later phases
-/// against one cumulative budget.
+/// against one cumulative budget. For a single capped run, pass a fresh
+/// [`Budget::meter`].
+///
+/// The iteration length `Σγ(a)` can be exponential in the graph description
+/// (paper, Sec. 2); the firing cap is checked *before* the schedule buffer
+/// is allocated, so a pathological graph fails fast instead of exhausting
+/// memory.
 ///
 /// # Errors
 ///
-/// See [`sequential_schedule_with_budget`].
+/// As [`sequential_schedule`], plus [`SdfError::Exhausted`] when the budget
+/// runs out.
 pub fn sequential_schedule_metered(
     g: &SdfGraph,
     gamma: &RepetitionVector,
