@@ -44,6 +44,9 @@
 //! [`SdfError::Exhausted`] payload when a firing cap would have been
 //! crossed inside the prefix — as the cold run, so incremental results
 //! (including errors) are byte-identical to cold ones.
+//!
+//! The engine runs on any [`FiringSource`]; an [`SdfGraph`] is the
+//! one-phase case. Archives, resume/fork and checkpoints are SDF-only.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -51,10 +54,75 @@ use std::sync::Arc;
 use sdfr_graph::budget::BudgetMeter;
 use sdfr_graph::repetition::RepetitionVector;
 use sdfr_graph::schedule::Schedule;
-use sdfr_graph::{ActorId, ChannelId, SdfError, SdfGraph};
+use sdfr_graph::{ActorId, ChannelId, SdfError, SdfGraph, Time};
 use sdfr_maxplus::{flat, FlatVector, MpMatrix, MpVector};
 
 use crate::symbolic::{SymbolicIteration, TokenRef};
+
+/// The firing structure Algorithm 1 walks: actors that cycle through a
+/// fixed sequence of phases, each with its own execution time and
+/// per-channel consumption and production (either may be zero in a
+/// phase). Firing `k` of actor `a` runs phase `k % phases(a)`, and one
+/// iteration fires each actor `γ(a) · phases(a)` times.
+pub trait FiringSource {
+    /// The number of actors.
+    fn num_actors(&self) -> usize;
+
+    /// The number of channels.
+    fn num_channels(&self) -> usize;
+
+    /// The initial tokens on channel `c`.
+    fn initial_tokens(&self, c: ChannelId) -> u64;
+
+    /// The number of phases in one cycle of actor `a` (at least 1).
+    fn phases(&self, a: ActorId) -> usize;
+
+    /// The execution time of phase `phase` of actor `a`.
+    fn phase_time(&self, a: ActorId, phase: usize) -> Time;
+
+    /// `(channel, tokens)` for every input channel of actor `a`: what
+    /// phase `phase` consumes from it.
+    fn consumption(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)>;
+
+    /// `(channel, tokens)` for every output channel of actor `a`: what
+    /// phase `phase` produces onto it.
+    fn production(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)>;
+}
+
+/// An SDF graph is the one-phase firing source.
+impl FiringSource for SdfGraph {
+    fn num_actors(&self) -> usize {
+        SdfGraph::num_actors(self)
+    }
+
+    fn num_channels(&self) -> usize {
+        SdfGraph::num_channels(self)
+    }
+
+    fn initial_tokens(&self, c: ChannelId) -> u64 {
+        self.channel(c).initial_tokens()
+    }
+
+    fn phases(&self, _: ActorId) -> usize {
+        1
+    }
+
+    fn phase_time(&self, a: ActorId, _: usize) -> Time {
+        self.actor(a).execution_time()
+    }
+
+    fn consumption(&self, a: ActorId, _: usize) -> impl Iterator<Item = (ChannelId, u64)> {
+        self.incoming(a)
+            .iter()
+            .map(|&c| (c, self.channel(c).consumption()))
+    }
+
+    fn production(&self, a: ActorId, _: usize) -> impl Iterator<Item = (ChannelId, u64)> {
+        self.outgoing(a)
+            .iter()
+            .map(|&c| (c, self.channel(c).production()))
+    }
+}
 
 /// Run-length-encoded symbolic FIFO: each entry is `(stamp, count)` — a run
 /// of `count` tokens sharing one symbolic time stamp.
@@ -333,7 +401,7 @@ impl IncrementalSeed {
     }
 }
 
-/// Algorithm 1 as an explicit state machine.
+/// Algorithm 1 as an explicit state machine over a [`FiringSource`].
 ///
 /// Construct with [`new`](Self::new) (cold) or via
 /// [`EngineArchive::resume`]/[`EngineArchive::fork`] (warm), drive with
@@ -343,8 +411,9 @@ impl IncrementalSeed {
 /// [`is_complete`](Self::is_complete). [`archive`](Self::archive) snapshots
 /// the state (complete or not) for later reuse.
 #[derive(Debug)]
-pub struct SymbolicEngine {
-    graph: Arc<SdfGraph>,
+pub struct SymbolicEngine<G = SdfGraph> {
+    graph: Arc<G>,
+    /// Phase cycles per actor per iteration (for SDF, the firings).
     gamma: RepetitionVector,
     /// Matrix dimension: the number of initial tokens.
     n: usize,
@@ -357,7 +426,7 @@ pub struct SymbolicEngine {
     first_consume: Vec<Option<u64>>,
     /// Per-actor `(start, end)` firing stamps, when recording was requested.
     stamps: Option<Vec<Vec<(MpVector, MpVector)>>>,
-    /// `Σ γ(a)`.
+    /// `Σ γ(a) · phases(a)`.
     total_firings: u64,
     /// Firings inherited from a base archive rather than executed here.
     skipped: u64,
@@ -377,8 +446,9 @@ pub struct SymbolicEngine {
     scratch: FlatVector,
 }
 
-impl SymbolicEngine {
-    /// Creates a cold engine for one iteration of `g`.
+impl<G: FiringSource> SymbolicEngine<G> {
+    /// Creates a cold engine for one iteration of `graph`, which fires
+    /// each actor `a` through `gamma[a]` full phase cycles.
     ///
     /// Performs the same pre-allocation budget checks as
     /// [`AnalysisSession::symbolic`](crate::AnalysisSession::symbolic): the
@@ -387,56 +457,51 @@ impl SymbolicEngine {
     ///
     /// # Errors
     ///
-    /// [`SdfError::Overflow`] if the token count overflows,
-    /// [`SdfError::Exhausted`] if it exceeds the budget's size cap.
+    /// [`SdfError::Overflow`] if the token count or the iteration length
+    /// `Σ γ(a) · phases(a)` overflows, [`SdfError::Exhausted`] if the token
+    /// count exceeds the budget's size cap.
     pub fn new(
-        graph: Arc<SdfGraph>,
+        graph: Arc<G>,
         gamma: &RepetitionVector,
         record_stamps: bool,
         meter: &mut BudgetMeter<'_>,
     ) -> Result<Self, SdfError> {
-        let token_total = graph
-            .channels()
-            .try_fold(0u64, |s, (_, ch)| s.checked_add(ch.initial_tokens()))
+        let num_channels = graph.num_channels();
+        let num_actors = graph.num_actors();
+        let avail: Vec<u64> = (0..num_channels)
+            .map(|c| graph.initial_tokens(ChannelId::from_index(c)))
+            .collect();
+        let n = avail
+            .iter()
+            .try_fold(0usize, |s, &d| s.checked_add(usize::try_from(d).ok()?))
             .ok_or(SdfError::Overflow {
                 what: "initial token count",
             })?;
-        meter.check_size(token_total)?;
+        meter.check_size(n as u64)?;
+        let total_firings = gamma
+            .iter()
+            .try_fold(0u64, |s, (a, cycles)| {
+                cycles
+                    .checked_mul(graph.phases(a) as u64)
+                    .and_then(|f| s.checked_add(f))
+            })
+            .ok_or(SdfError::Overflow {
+                what: "iteration length",
+            })?;
 
-        let num_channels = graph.num_channels();
-        let num_actors = graph.num_actors();
-        let mut tokens = Vec::new();
-        let mut token_base = Vec::with_capacity(num_channels);
-        let mut avail = Vec::with_capacity(num_channels);
-        for (cid, ch) in graph.channels() {
-            token_base.push(tokens.len());
-            avail.push(ch.initial_tokens());
-            for position in 0..ch.initial_tokens() {
-                tokens.push(TokenRef {
-                    channel: cid,
-                    position,
-                });
-            }
-        }
-        let n = tokens.len();
-        let mut queues: Vec<RleQueue> = (0..num_channels).map(|_| RleQueue::new()).collect();
-        for (idx, t) in tokens.iter().enumerate() {
-            queues[t.channel.index()].push_back((FlatVector::unit(n, idx), 1));
-        }
-
-        Ok(SymbolicEngine {
-            graph,
-            total_firings: gamma.iteration_length(),
+        let mut engine = SymbolicEngine {
+            total_firings,
             gamma: gamma.clone(),
             n,
-            tokens,
-            token_base,
+            tokens: Vec::new(),
+            token_base: Vec::with_capacity(num_channels),
             state: EngineState {
-                queues,
+                queues: (0..num_channels).map(|_| RleQueue::new()).collect(),
                 avail,
                 fired: vec![0; num_actors],
                 firings_done: 0,
             },
+            graph,
             first_consume: vec![None; num_channels],
             stamps: record_stamps.then(|| vec![Vec::new(); num_actors]),
             skipped: 0,
@@ -445,14 +510,12 @@ impl SymbolicEngine {
             checkpoint_stride: 0,
             checkpoints: Vec::new(),
             scratch: FlatVector::default(),
-        })
-    }
-
-    /// Enables periodic checkpointing: up to `CHECKPOINT_SLOTS` evenly
-    /// spaced snapshots over the iteration (plus the final state kept by
-    /// [`archive`](Self::archive)), each gated on state size.
-    pub fn enable_checkpoints(&mut self) {
-        self.checkpoint_stride = (self.total_firings / CHECKPOINT_SLOTS).max(1);
+        };
+        engine.rebuild_token_index();
+        for (idx, t) in engine.tokens.iter().enumerate() {
+            engine.state.queues[t.channel.index()].push_back((FlatVector::unit(n, idx), 1));
+        }
+        Ok(engine)
     }
 
     /// The number of initial tokens (the matrix dimension).
@@ -465,14 +528,219 @@ impl SymbolicEngine {
         self.state.firings_done
     }
 
-    /// Firings inherited from the base archive (0 for a cold engine).
-    pub fn skipped_firings(&self) -> u64 {
-        self.skipped
-    }
-
     /// `true` once the full iteration has been executed.
     pub fn is_complete(&self) -> bool {
         self.state.firings_done == self.total_firings
+    }
+
+    /// Runs the remaining suffix of the iteration with a greedy data-driven
+    /// schedule: scan actors in id order, firing the next phase of any
+    /// actor that still owes firings and has sufficient input tokens,
+    /// until `Σ γ(a) · phases(a)` firings have been performed. By
+    /// determinacy the resulting final stamps — and therefore the matrix —
+    /// are identical to any other schedule's.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_scheduled`](Self::run_scheduled), plus
+    /// [`SdfError::Deadlock`] if no actor is fireable before the iteration
+    /// completes (unreachable when forked from a valid checkpoint of a live
+    /// graph; kept as a defensive error rather than a panic).
+    pub fn run_greedy(&mut self, meter: &mut BudgetMeter<'_>) -> Result<(), SdfError> {
+        if !self.is_complete() {
+            // Greedy firings are about to happen: archives of this engine
+            // can no longer have their suffix replayed by schedule position.
+            self.scheduled = false;
+        }
+        while !self.is_complete() {
+            let mut progressed = false;
+            for idx in 0..self.gamma.len() {
+                let actor = ActorId::from_index(idx);
+                // Cannot overflow: `new` checked the sum of these products.
+                let quota = self.gamma.get(actor) * self.graph.phases(actor) as u64;
+                while self.state.fired[actor.index()] < quota && self.enabled(actor) {
+                    meter.spend(1)?;
+                    self.fire(actor)?;
+                    self.maybe_checkpoint();
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return Err(SdfError::Deadlock {
+                    fired: self.state.firings_done,
+                    needed: self.total_firings,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The phase `actor` runs on its next firing (0 for a one-phase
+    /// source, which the compiler folds away).
+    fn phase(&self, actor: ActorId) -> usize {
+        (self.state.fired[actor.index()] % self.graph.phases(actor) as u64) as usize
+    }
+
+    /// `true` if the next phase of `actor` has its input tokens now.
+    fn enabled(&self, actor: ActorId) -> bool {
+        self.graph
+            .consumption(actor, self.phase(actor))
+            .all(|(cid, need)| self.state.avail[cid.index()] >= need)
+    }
+
+    /// Fires the next phase of `actor` once, symbolically: pops `c` stamps
+    /// from every input FIFO, joins them into the start stamp, shifts by
+    /// the phase's execution time, and pushes the end stamp `p` times onto
+    /// every output FIFO (a phase that produces nothing pushes no run).
+    ///
+    /// The join/shift arithmetic runs on the reusable flat scratch buffer:
+    /// no allocation and no per-element branching in the inner loops, and
+    /// the overflow check of the shift is a single hoisted comparison
+    /// ([`FlatVector::shift_in_place`]) that reports exactly where the old
+    /// per-element `checked_add` did.
+    fn fire(&mut self, actor: ActorId) -> Result<(), SdfError> {
+        let phase = self.phase(actor);
+        let start = &mut self.scratch;
+        start.reset_neg_inf(self.n);
+        for (cid, consumed) in self.graph.consumption(actor, phase) {
+            if consumed > 0 && self.first_consume[cid.index()].is_none() {
+                self.first_consume[cid.index()] = Some(self.state.firings_done);
+            }
+            let mut need = consumed;
+            while need > 0 {
+                let (stamp, count) = self.state.queues[cid.index()]
+                    .front_mut()
+                    .expect("enabled firings find their input tokens");
+                // Invariant: every stamp in every queue has length N.
+                start.join_in_place(stamp);
+                if *count > need {
+                    *count -= need;
+                    need = 0;
+                } else {
+                    need -= *count;
+                    self.state.queues[cid.index()].pop_front();
+                }
+            }
+            self.state.avail[cid.index()] -= consumed;
+        }
+        let start_mp = self.stamps.is_some().then(|| start.to_mp());
+        if !start.shift_in_place(self.graph.phase_time(actor, phase)) {
+            return Err(SdfError::Overflow {
+                what: "symbolic time stamp (accumulated execution times)",
+            });
+        }
+        let end = &*start; // shifted in place: the scratch now holds the end stamp
+        for (cid, produced) in self.graph.production(actor, phase) {
+            if produced == 0 {
+                continue;
+            }
+            let q = &mut self.state.queues[cid.index()];
+            // Run-length coalescing: successive firings that produce the
+            // same stamp (steady-state pipelines, zero-time stages) extend
+            // the back run instead of growing the queue, keeping state —
+            // and checkpoint clones — proportional to *distinct* stamps.
+            match q.back_mut() {
+                Some((stamp, count)) if stamp == end => *count += produced,
+                _ => q.push_back((end.clone(), produced)),
+            }
+            self.state.avail[cid.index()] = self.state.avail[cid.index()]
+                .checked_add(produced)
+                .ok_or(SdfError::Overflow {
+                    what: "token count during symbolic execution",
+                })?;
+        }
+        if let Some(stamps) = self.stamps.as_mut() {
+            stamps[actor.index()].push((start_mp.expect("recorded before the shift"), end.to_mp()));
+        }
+        self.state.fired[actor.index()] += 1;
+        self.state.firings_done += 1;
+        Ok(())
+    }
+
+    /// Snapshots the current state when the stride says so and the state is
+    /// small enough to be worth keeping.
+    fn maybe_checkpoint(&mut self) {
+        if self.checkpoint_stride == 0
+            || !self
+                .state
+                .firings_done
+                .is_multiple_of(self.checkpoint_stride)
+            || self.is_complete()
+        {
+            return;
+        }
+        if self.state.entries(self.n) > CHECKPOINT_ENTRY_GATE {
+            return;
+        }
+        self.checkpoints.push(Checkpoint {
+            state: self.state.clone(),
+        });
+    }
+
+    /// Consumes the completed engine and reads out the
+    /// [`SymbolicIteration`]: the final stamps in global token order form
+    /// the rows of the `N×N` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the iteration is not complete (debug-asserts the token
+    /// distribution was restored, as the run-to-completion path always
+    /// did).
+    pub fn finish(self) -> SymbolicIteration {
+        assert!(
+            self.is_complete(),
+            "finish() requires a completed iteration"
+        );
+        let mut rows: Vec<FlatVector> = Vec::with_capacity(self.n);
+        for t in &self.tokens {
+            let q = &self.state.queues[t.channel.index()];
+            debug_assert_eq!(
+                q.iter().map(|(_, c)| c).sum::<u64>(),
+                self.graph.initial_tokens(t.channel),
+                "iteration must restore the token distribution"
+            );
+            let mut pos = t.position;
+            let mut found = None;
+            for (stamp, count) in q {
+                if pos < *count {
+                    found = Some(stamp.clone());
+                    break;
+                }
+                pos -= count;
+            }
+            rows.push(found.expect("token position within restored queue"));
+        }
+        let matrix = MpMatrix::from_flat_rows(rows).expect("rows share length N");
+        SymbolicIteration::from_parts(matrix, self.tokens, self.gamma, self.stamps)
+    }
+
+    /// Rebuilds `tokens`/`token_base` from the graph (used after a fork
+    /// changed the token numbering).
+    fn rebuild_token_index(&mut self) {
+        self.tokens.clear();
+        self.token_base.clear();
+        for c in 0..self.graph.num_channels() {
+            let channel = ChannelId::from_index(c);
+            self.token_base.push(self.tokens.len());
+            for position in 0..self.graph.initial_tokens(channel) {
+                self.tokens.push(TokenRef { channel, position });
+            }
+        }
+        debug_assert_eq!(self.tokens.len(), self.n);
+    }
+}
+
+impl SymbolicEngine<SdfGraph> {
+    /// Enables periodic checkpointing: up to `CHECKPOINT_SLOTS` evenly
+    /// spaced snapshots over the iteration (plus the final state kept by
+    /// [`archive`](Self::archive)), each gated on state size.
+    pub fn enable_checkpoints(&mut self) {
+        self.checkpoint_stride = (self.total_firings / CHECKPOINT_SLOTS).max(1);
+    }
+
+    /// Firings inherited from the base archive (0 for a cold engine).
+    pub fn skipped_firings(&self) -> u64 {
+        self.skipped
     }
 
     /// `true` while the live state is small enough
@@ -552,144 +820,6 @@ impl SymbolicEngine {
         Ok(())
     }
 
-    /// Runs the remaining suffix of the iteration with a greedy data-driven
-    /// schedule: scan actors in id order, firing any actor that still owes
-    /// firings and has sufficient input tokens, until `Σ γ(a)` firings have
-    /// been performed. By SDF determinacy the resulting final stamps — and
-    /// therefore the matrix — are identical to any other schedule's.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_scheduled`](Self::run_scheduled), plus
-    /// [`SdfError::Deadlock`] if no actor is fireable before the iteration
-    /// completes (unreachable when forked from a valid checkpoint of a live
-    /// graph; kept as a defensive error rather than a panic).
-    pub fn run_greedy(&mut self, meter: &mut BudgetMeter<'_>) -> Result<(), SdfError> {
-        if !self.is_complete() {
-            // Greedy firings are about to happen: archives of this engine
-            // can no longer have their suffix replayed by schedule position.
-            self.scheduled = false;
-        }
-        while !self.is_complete() {
-            let mut progressed = false;
-            for idx in 0..self.gamma.len() {
-                let actor = ActorId::from_index(idx);
-                let quota = self.gamma.get(actor);
-                if self.state.fired[actor.index()] >= quota {
-                    continue;
-                }
-                while self.state.fired[actor.index()] < quota && self.enabled(actor) {
-                    meter.spend(1)?;
-                    self.fire(actor)?;
-                    self.maybe_checkpoint();
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                return Err(SdfError::Deadlock {
-                    fired: self.state.firings_done,
-                    needed: self.total_firings,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// `true` if `actor` has the input tokens to fire now.
-    fn enabled(&self, actor: ActorId) -> bool {
-        self.graph.incoming(actor).iter().all(|&cid| {
-            let ch = self.graph.channel(cid);
-            self.state.avail[cid.index()] >= ch.consumption()
-        })
-    }
-
-    /// Fires `actor` once, symbolically: pops `c` stamps from every input
-    /// FIFO, joins them into the start stamp, shifts by the execution time,
-    /// and pushes the end stamp `p` times onto every output FIFO.
-    ///
-    /// The join/shift arithmetic runs on the reusable flat scratch buffer:
-    /// no allocation and no per-element branching in the inner loops, and
-    /// the overflow check of the shift is a single hoisted comparison
-    /// ([`FlatVector::shift_in_place`]) that reports exactly where the old
-    /// per-element `checked_add` did.
-    fn fire(&mut self, actor: ActorId) -> Result<(), SdfError> {
-        let start = &mut self.scratch;
-        start.reset_neg_inf(self.n);
-        for &cid in self.graph.incoming(actor) {
-            let ch = self.graph.channel(cid);
-            let need = ch.consumption();
-            if need > 0 && self.first_consume[cid.index()].is_none() {
-                self.first_consume[cid.index()] = Some(self.state.firings_done);
-            }
-            let mut need = need;
-            while need > 0 {
-                let (stamp, count) = self.state.queues[cid.index()]
-                    .front_mut()
-                    .expect("sequential schedule guarantees token availability");
-                // Invariant: every stamp in every queue has length N.
-                start.join_in_place(stamp);
-                if *count > need {
-                    *count -= need;
-                    need = 0;
-                } else {
-                    need -= *count;
-                    self.state.queues[cid.index()].pop_front();
-                }
-            }
-            self.state.avail[cid.index()] -= ch.consumption();
-        }
-        let start_mp = self.stamps.is_some().then(|| start.to_mp());
-        if !start.shift_in_place(self.graph.actor(actor).execution_time()) {
-            return Err(SdfError::Overflow {
-                what: "symbolic time stamp (accumulated execution times)",
-            });
-        }
-        let end = &*start; // shifted in place: the scratch now holds the end stamp
-        for &cid in self.graph.outgoing(actor) {
-            let ch = self.graph.channel(cid);
-            let q = &mut self.state.queues[cid.index()];
-            // Run-length coalescing: successive firings that produce the
-            // same stamp (steady-state pipelines, zero-time stages) extend
-            // the back run instead of growing the queue, keeping state —
-            // and checkpoint clones — proportional to *distinct* stamps.
-            match q.back_mut() {
-                Some((stamp, count)) if stamp == end => *count += ch.production(),
-                _ => q.push_back((end.clone(), ch.production())),
-            }
-            self.state.avail[cid.index()] = self.state.avail[cid.index()]
-                .checked_add(ch.production())
-                .ok_or(SdfError::Overflow {
-                    what: "token count during symbolic execution",
-                })?;
-        }
-        if let Some(stamps) = self.stamps.as_mut() {
-            stamps[actor.index()].push((start_mp.expect("recorded before the shift"), end.to_mp()));
-        }
-        self.state.fired[actor.index()] += 1;
-        self.state.firings_done += 1;
-        Ok(())
-    }
-
-    /// Snapshots the current state when the stride says so and the state is
-    /// small enough to be worth keeping.
-    fn maybe_checkpoint(&mut self) {
-        if self.checkpoint_stride == 0
-            || !self
-                .state
-                .firings_done
-                .is_multiple_of(self.checkpoint_stride)
-            || self.is_complete()
-        {
-            return;
-        }
-        if self.state.entries(self.n) > CHECKPOINT_ENTRY_GATE {
-            return;
-        }
-        self.checkpoints.push(Checkpoint {
-            state: self.state.clone(),
-        });
-    }
-
     /// Snapshots the engine (mid-run or complete) into a shareable archive.
     /// The current state becomes the archive's last checkpoint, so a resume
     /// continues exactly where this engine stands.
@@ -713,60 +843,6 @@ impl SymbolicEngine {
             scheduled: self.scheduled,
             checkpoints,
         })
-    }
-
-    /// Consumes the completed engine and reads out the
-    /// [`SymbolicIteration`]: the final stamps in global token order form
-    /// the rows of the `N×N` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iteration is not complete (debug-asserts the token
-    /// distribution was restored, as the run-to-completion path always
-    /// did).
-    pub fn finish(self) -> SymbolicIteration {
-        assert!(
-            self.is_complete(),
-            "finish() requires a completed iteration"
-        );
-        let mut rows: Vec<FlatVector> = Vec::with_capacity(self.n);
-        for t in &self.tokens {
-            let q = &self.state.queues[t.channel.index()];
-            debug_assert_eq!(
-                q.iter().map(|(_, c)| c).sum::<u64>(),
-                self.graph.channel(t.channel).initial_tokens(),
-                "iteration must restore the token distribution"
-            );
-            let mut pos = t.position;
-            let mut found = None;
-            for (stamp, count) in q {
-                if pos < *count {
-                    found = Some(stamp.clone());
-                    break;
-                }
-                pos -= count;
-            }
-            rows.push(found.expect("token position within restored queue"));
-        }
-        let matrix = MpMatrix::from_flat_rows(rows).expect("rows share length N");
-        SymbolicIteration::from_parts(matrix, self.tokens, self.gamma, self.stamps)
-    }
-
-    /// Rebuilds `tokens`/`token_base` from the graph (used after a fork
-    /// changed the token numbering).
-    fn rebuild_token_index(&mut self) {
-        self.tokens.clear();
-        self.token_base.clear();
-        for (cid, ch) in self.graph.channels() {
-            self.token_base.push(self.tokens.len());
-            for position in 0..ch.initial_tokens() {
-                self.tokens.push(TokenRef {
-                    channel: cid,
-                    position,
-                });
-            }
-        }
-        debug_assert_eq!(self.tokens.len(), self.n);
     }
 }
 

@@ -10,13 +10,15 @@
 //! - [`engine`] — the same algorithm as a resumable, checkpointable state
 //!   machine ([`SymbolicEngine`]) that can be paused at firing boundaries,
 //!   archived, and resumed or *forked* across a single-channel token delta
-//!   so near-identical graphs re-execute only the invalidated suffix,
+//!   so near-identical graphs re-execute only the invalidated suffix;
+//!   generic over its [`FiringSource`], so cyclo-static phase firings run
+//!   on it too,
 //! - [`throughput`](mod@throughput) — exact throughput via the spectral
 //!   (eigenvalue) method and via state-space periodicity detection, plus a
 //!   purely operational estimate from event-driven simulation,
-//! - [`mcm`] — maximum cycle mean / cycle ratio algorithms (Karp, Howard,
-//!   parametric cycle improvement, a brute-force enumeration oracle, and
-//!   critical-cycle extraction),
+//! - [`mcm`] — maximum cycle ratio algorithms (Howard, parametric cycle
+//!   improvement, a brute-force enumeration oracle, and critical-cycle
+//!   extraction),
 //! - [`latency`] — iteration makespan and related latency measures,
 //! - [`bottleneck`] — the critical tokens/channels/actors limiting
 //!   throughput,
@@ -67,7 +69,7 @@ pub mod static_schedule;
 pub mod symbolic;
 pub mod throughput;
 
-pub use engine::{EngineArchive, IncrementalSeed, SymbolicEngine};
+pub use engine::{EngineArchive, FiringSource, IncrementalSeed, SymbolicEngine};
 pub use mcm::{CycleRatio, CycleRatioGraph};
 pub use registry::{RegistryConfig, RegistryStats, SessionRegistry};
 pub use session::{AnalysisSession, SessionArtifacts};

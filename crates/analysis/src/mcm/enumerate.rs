@@ -127,7 +127,13 @@ mod tests {
             let parametric = super::super::parametric::maximum_cycle_ratio(&g);
             assert_eq!(oracle, howard, "howard disagrees on {g:?}");
             assert_eq!(oracle, parametric, "parametric disagrees on {g:?}");
-            if let Some(karp) = super::super::karp::maximum_cycle_mean(&g) {
+            // Unit-token instances are max-plus precedence graphs: the
+            // flat Karp DP of the eigenvalue path must agree too.
+            if g.edges().iter().all(|e| e.tokens == 1) {
+                let edges = g.edges().iter().map(|e| (e.from, e.to, e.weight));
+                let pg = sdfr_maxplus::precedence::PrecedenceGraph::from_edges(n, edges);
+                let karp = sdfr_maxplus::eigen::maximum_cycle_mean(&pg)
+                    .map_or(CycleRatio::Acyclic, CycleRatio::Finite);
                 assert_eq!(oracle, karp, "karp disagrees on {g:?}");
             }
         }

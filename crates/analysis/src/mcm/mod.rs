@@ -7,8 +7,6 @@
 //! different trade-offs, usable both as production solvers and as mutual
 //! cross-checks:
 //!
-//! - [`karp`] — Karp's O(V·E) maximum cycle *mean* for unit-token graphs
-//!   (used on max-plus matrix precedence graphs),
 //! - [`howard`] — Howard's policy iteration for the general cycle-ratio
 //!   problem, exact rational arithmetic,
 //! - [`parametric`] — Burns-style parametric cycle improvement (repeatedly
@@ -21,7 +19,6 @@ use sdfr_maxplus::Rational;
 
 pub mod enumerate;
 pub mod howard;
-pub mod karp;
 pub mod parametric;
 
 /// The outcome of a maximum cycle ratio computation.

@@ -659,17 +659,7 @@ impl UnitRecord {
 
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(160);
-        let _ = write!(
-            out,
-            "{{\"schema\":{},\"workload_kind\":\"{}\"",
-            escape_str(SCHEMA),
-            self.workload_kind.token()
-        );
-        if let Some(index) = self.index {
-            let _ = write!(out, ",\"index\":{index}");
-        }
-        let _ = write!(out, ",\"file\":{}", escape_str(&self.file));
+        let mut out = record_head(self.workload_kind, self.index, &self.file);
         if let Some(tier) = self.tier {
             match tier {
                 Some(t) => {
@@ -691,9 +681,31 @@ impl UnitRecord {
         if self.pending {
             out.push_str(",\"pending\":true");
         }
-        let _ = write!(out, ",\"exit\":{}}}", self.exit);
-        out
+        record_tail(out, self.exit)
     }
+}
+
+/// Opens a unit record: `schema`, `workload_kind`, the batch `index` when
+/// present, and `file` — the head every record kind shares.
+fn record_head(kind: WorkloadKind, index: Option<usize>, file: &str) -> String {
+    let mut out = String::with_capacity(160);
+    let _ = write!(
+        out,
+        "{{\"schema\":{},\"workload_kind\":\"{}\"",
+        escape_str(SCHEMA),
+        kind.token()
+    );
+    if let Some(index) = index {
+        let _ = write!(out, ",\"index\":{index}");
+    }
+    let _ = write!(out, ",\"file\":{}", escape_str(file));
+    out
+}
+
+/// Closes a unit record with its `exit` code.
+fn record_tail(mut out: String, exit: i32) -> String {
+    let _ = write!(out, ",\"exit\":{exit}}}");
+    out
 }
 
 /// The trailing summary of a batch: outcome counts, per-exit-code counts,
@@ -976,8 +988,9 @@ pub fn pool_stats_json(stats: &sdfr_pool::PoolStats) -> String {
 pub struct CsdfRecord {
     /// The display name / path of the graph.
     pub file: String,
-    /// The outcome; `Degraded` is unused (CSDF analysis has no budget
-    /// fallback), errors carry the message.
+    /// The outcome. The request's caps apply, and exhaustion is an error
+    /// (exit 4) carrying the message: `Degraded` is unused, since CSDF
+    /// analysis has no conservative fallback.
     pub status: UnitStatus,
     /// Phase firings per iteration, when the analysis succeeded.
     pub phase_firings: Option<u64>,
@@ -991,14 +1004,7 @@ pub struct CsdfRecord {
 impl CsdfRecord {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(160);
-        let _ = write!(
-            out,
-            "{{\"schema\":{},\"workload_kind\":\"{}\",\"file\":{}",
-            escape_str(SCHEMA),
-            WorkloadKind::Csdf.token(),
-            escape_str(&self.file)
-        );
+        let mut out = record_head(WorkloadKind::Csdf, None, &self.file);
         self.status.write_json(&mut out);
         if let Some(f) = self.phase_firings {
             let _ = write!(out, ",\"phase_firings\":{f}");
@@ -1009,8 +1015,7 @@ impl CsdfRecord {
                 ",\"hsdf_actors\":{actors},\"hsdf_channels\":{channels},\"hsdf_tokens\":{tokens}"
             );
         }
-        let _ = write!(out, ",\"exit\":{}}}", self.exit);
-        out
+        record_tail(out, self.exit)
     }
 }
 

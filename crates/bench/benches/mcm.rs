@@ -1,6 +1,6 @@
-//! Ablation: the three maximum-cycle-ratio algorithms (Howard's policy
-//! iteration, parametric cycle improvement, Karp on unit-token instances)
-//! on synthetic strongly cyclic graphs of growing size.
+//! Ablation: the two general maximum-cycle-ratio algorithms (Howard's
+//! policy iteration, parametric cycle improvement) on synthetic strongly
+//! cyclic graphs of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -32,9 +32,6 @@ fn mcm_algorithms(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("parametric", n), &g, |b, g| {
             b.iter(|| mcm::parametric::maximum_cycle_ratio(black_box(g)))
-        });
-        group.bench_with_input(BenchmarkId::new("karp", n), &g, |b, g| {
-            b.iter(|| mcm::karp::maximum_cycle_mean(black_box(g)).unwrap())
         });
     }
     group.finish();

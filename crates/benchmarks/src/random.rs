@@ -248,10 +248,8 @@ mod csdf_tests {
         let cfg = RandomSdfConfig::default();
         for _ in 0..100 {
             let g = random_live_csdf(&mut rng, &cfg);
-            let rep = sdfr_csdf::repetition_vector(&g)
-                .unwrap_or_else(|e| panic!("inconsistent: {e}\n{g}"));
-            sdfr_csdf::sequential_schedule(&g, &rep)
-                .unwrap_or_else(|e| panic!("deadlock: {e}\n{g}"));
+            sdfr_csdf::repetition_vector(&g).unwrap_or_else(|e| panic!("inconsistent: {e}\n{g}"));
+            sdfr_csdf::symbolic_iteration(&g).unwrap_or_else(|e| panic!("deadlock: {e}\n{g}"));
         }
     }
 }

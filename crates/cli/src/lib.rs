@@ -430,7 +430,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             return cmd_record(kind, path, &budget);
         }
         match kind {
-            WorkloadKind::Csdf => return cmd_csdf(path, opts),
+            WorkloadKind::Csdf => return cmd_csdf(path, &budget, opts),
             WorkloadKind::Sadf => return cmd_analyze_sadf(path, &budget),
             WorkloadKind::Sdf => {}
         }
@@ -975,13 +975,13 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Analyses a cyclo-static file: consistency, throughput, HSDF reduction.
-fn cmd_csdf(path: &str, opts: &[String]) -> Result<String, CliError> {
+fn cmd_csdf(path: &str, budget: &Budget, opts: &[String]) -> Result<String, CliError> {
     let g = parse_csdf_content(path, &read_file(path)?)?;
     let mut out = String::new();
     let _ = write!(out, "{g}");
     // One symbolic iteration feeds the repetition report, the throughput
     // and the HSDF reduction alike.
-    let sym = sdfr_csdf::symbolic_iteration(&g)?;
+    let sym = sdfr_csdf::symbolic_iteration_capped(&g, budget)?;
     let _ = writeln!(
         out,
         "phase firings per iteration: {}",
@@ -1332,6 +1332,32 @@ mod tests {
                 format!("resource budget exhausted: {used}"),
                 "{cmd} {extra:?}"
             );
+        }
+
+        // The cyclo-static front-end runs under the same caps: 6 initial
+        // tokens and 4 phase firings per iteration.
+        let f = write_temp(
+            "csdf tp\nactor p 1,3\nactor c 2\nchannel p c 2,0 1 0\n\
+             channel c p 1 0,2 4\nchannel p p 1,1 1,1 1\nchannel c c 1 1 1\n",
+            "csdf",
+        );
+        for (extra, used) in [
+            (
+                &["--json", "--max-firings", "1"][..],
+                "firings used 2 of limit 1",
+            ),
+            (&["--max-size", "1"], "state size used 6 of limit 1"),
+        ] {
+            let err = run_on("csdf", &f, extra).unwrap_err();
+            assert_eq!(err.exit_code(), EXIT_EXHAUSTED, "csdf {extra:?}");
+            let message = format!("resource budget exhausted: {used}");
+            let record = format!(
+                "{{\"schema\":\"sdfr-api/1\",\"workload_kind\":\"csdf\",\"file\":\"{}\",\
+                 \"status\":\"error\",\"error\":\"{message}\",\"exit\":4}}\n",
+                f.display()
+            );
+            let json = extra[0] == "--json";
+            assert_eq!(err.message, if json { record } else { message });
         }
     }
 

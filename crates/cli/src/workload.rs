@@ -166,8 +166,8 @@ impl AnalyzedUnit {
 /// if it does not land in time the iteration-free conservative bound
 /// stands in (`"pending":true`) while the warmer keeps filling the shared
 /// session for the next request. Scenario-aware units run many sessions
-/// and carry no fingerprint or cache attribution; cyclo-static units have
-/// no budget.
+/// and carry no fingerprint or cache attribution; cyclo-static units run
+/// under the budget but have no session, cache or degraded fallback.
 pub(crate) fn analyze_unit(
     kind: WorkloadKind,
     batch_fields: Option<(usize, Option<u64>)>,
@@ -256,7 +256,7 @@ pub(crate) fn analyze_unit(
                 }),
             }
         }
-        Ok(Source::Csdf(graph)) => sdfr_csdf::symbolic_iteration(graph)
+        Ok(Source::Csdf(graph)) => sdfr_csdf::symbolic_iteration_capped(graph, &budget)
             .map(|sym| {
                 let hsdf = sdfr_csdf::hsdf_from_symbolic(&sym, graph.name());
                 csdf = Some((

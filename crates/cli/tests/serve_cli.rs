@@ -1179,6 +1179,49 @@ fn csdf_oracle_agrees_across_all_front_ends() {
     assert_eq!(suffix(&batch_line), suffix(&local_line));
 }
 
+/// Hostile cyclo-static bodies are answered as per-unit records, never by
+/// taking the server down: a time-stamp overflow is an invalid graph, and
+/// a trillion-firing iteration under a firing cap is exhausted before it
+/// allocates anything proportional to its length.
+#[test]
+fn hostile_csdf_bodies_cannot_take_the_server_down() {
+    let server = Server::start(&[]);
+    let body = |content: &str, caps: &str| {
+        format!(
+            r#"{{"schema":"sdfr-api/1","graphs":[{{"name":"h.csdf","content":"{}"}}]{caps}}}"#,
+            content.replace('\n', "\\n")
+        )
+    };
+    let overflow = body(
+        "csdf w\nactor w 4611686018427387904,4611686018427387904\nchannel w w 1,1 1,1 1\n",
+        "",
+    );
+    let (status, answer) = http(&server.addr, "POST", "/v1/csdf", &overflow);
+    assert_eq!(status, 422, "{answer}");
+    assert!(
+        answer.contains(
+            "\"error\":\"integer overflow while computing symbolic time stamp \
+             (accumulated execution times)\",\"exit\":1}"
+        ),
+        "{answer}"
+    );
+
+    let huge = body(
+        "csdf huge\nactor x 1\nactor y 1\nchannel x y 1000000000000 1 0\n",
+        r#","max_firings":1000"#,
+    );
+    let (status, answer) = http(&server.addr, "POST", "/v1/csdf", &huge);
+    assert_eq!(status, 422, "{answer}");
+    assert!(
+        answer.contains("\"error\":\"resource budget exhausted: firings used 1001 of limit 1000\"")
+            && answer.contains("\"exit\":4}"),
+        "{answer}"
+    );
+
+    let (status, stats) = http(&server.addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats}");
+}
+
 /// A tagged request with an unknown workload kind is refused before any
 /// graph work, with the machine-readable list of kinds this build speaks.
 #[test]

@@ -62,5 +62,5 @@ pub use degrade::{
 };
 pub use error::CoreError;
 pub use novel::NovelConversion;
-pub use sdfr_analysis::{AnalysisSession, SessionRegistry};
+pub use sdfr_analysis::{AnalysisSession, FiringSource, SessionRegistry, SymbolicEngine};
 pub use traditional::TraditionalConversion;

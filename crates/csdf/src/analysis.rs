@@ -1,9 +1,12 @@
 //! Analysis of CSDF graphs through the max-plus machinery.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
-use sdfr_graph::{SdfError, SdfGraph};
-use sdfr_maxplus::{MpMatrix, MpVector, Rational};
+use sdfr_core::{FiringSource, SymbolicEngine};
+use sdfr_graph::budget::Budget;
+use sdfr_graph::repetition::RepetitionVector;
+use sdfr_graph::{ActorId, ChannelId, SdfError, SdfGraph, Time};
+use sdfr_maxplus::{MpMatrix, Rational};
 
 use crate::graph::{CsdfActorId, CsdfChannelId, CsdfGraph};
 
@@ -11,7 +14,7 @@ use crate::graph::{CsdfActorId, CsdfChannelId, CsdfGraph};
 /// phase cycles of each actor per iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsdfRepetition {
-    cycles: Vec<u64>,
+    cycles: RepetitionVector,
 }
 
 impl CsdfRepetition {
@@ -21,13 +24,13 @@ impl CsdfRepetition {
     ///
     /// Panics if `a` does not belong to the analysed graph.
     pub fn cycles(&self, a: CsdfActorId) -> u64 {
-        self.cycles[a.index()]
+        self.cycles.as_slice()[a.index()]
     }
 
     /// Phase-level firings of actor `a` per iteration
     /// (`cycles(a) · phases(a)`), given its phase count.
     pub fn firings(&self, a: CsdfActorId, phases: usize) -> u64 {
-        self.cycles[a.index()] * phases as u64
+        self.cycles(a) * phases as u64
     }
 
     /// Total phase firings per iteration over all actors.
@@ -63,73 +66,48 @@ pub fn repetition_vector(g: &CsdfGraph) -> Result<CsdfRepetition, SdfError> {
         .expect("validated patterns");
     }
     let sdf = b.build().expect("names validated by the CSDF builder");
-    let gamma = sdfr_graph::repetition::repetition_vector(&sdf)?;
     Ok(CsdfRepetition {
-        cycles: gamma.as_slice().to_vec(),
+        cycles: sdfr_graph::repetition::repetition_vector(&sdf)?,
     })
 }
 
-/// One phase-accurate sequential schedule for an iteration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsdfSchedule {
-    /// Firings in order: `(actor, phase)`.
-    pub firings: Vec<(CsdfActorId, usize)>,
-}
-
-/// Constructs a phase-accurate PASS: fires enabled phases greedily until
-/// every actor completed `cycles(a)` full phase cycles.
-///
-/// # Errors
-///
-/// - [`SdfError::Inconsistent`] without a repetition vector,
-/// - [`SdfError::Deadlock`] if the iteration cannot complete.
-pub fn sequential_schedule(g: &CsdfGraph, rep: &CsdfRepetition) -> Result<CsdfSchedule, SdfError> {
-    let n = g.num_actors();
-    let mut tokens: Vec<u64> = g.channels().map(|(_, c)| c.initial_tokens()).collect();
-    let mut phase = vec![0usize; n];
-    let mut remaining: Vec<u64> = g
-        .actors()
-        .map(|(id, a)| rep.firings(id, a.num_phases()))
-        .collect();
-    let needed: u64 = remaining.iter().sum();
-    let mut fired = 0u64;
-    let mut firings = Vec::with_capacity(needed as usize);
-
-    loop {
-        let mut progress = false;
-        for a in g.actor_ids() {
-            // Fire as many consecutive phases of `a` as are enabled.
-            while remaining[a.index()] > 0 && phase_enabled(g, a, phase[a.index()], &tokens) {
-                fire_phase(g, a, phase[a.index()], &mut tokens);
-                firings.push((a, phase[a.index()]));
-                phase[a.index()] = (phase[a.index()] + 1) % g.actor(a).num_phases();
-                remaining[a.index()] -= 1;
-                fired += 1;
-                progress = true;
-            }
-        }
-        if remaining.iter().all(|&r| r == 0) {
-            debug_assert!(phase.iter().all(|&p| p == 0), "cycles complete");
-            return Ok(CsdfSchedule { firings });
-        }
-        if !progress {
-            return Err(SdfError::Deadlock { fired, needed });
-        }
+/// A CSDF graph as a firing source for the symbolic engine: ids map
+/// one-to-one onto the engine's dense indices, and firing `k` of an actor
+/// runs phase `k % phases`.
+impl FiringSource for CsdfGraph {
+    fn num_actors(&self) -> usize {
+        CsdfGraph::num_actors(self)
     }
-}
 
-fn phase_enabled(g: &CsdfGraph, a: CsdfActorId, phase: usize, tokens: &[u64]) -> bool {
-    g.incoming(a)
-        .iter()
-        .all(|&cid| tokens[cid.index()] >= g.channel(cid).consumption(phase))
-}
-
-fn fire_phase(g: &CsdfGraph, a: CsdfActorId, phase: usize, tokens: &mut [u64]) {
-    for &cid in g.incoming(a) {
-        tokens[cid.index()] -= g.channel(cid).consumption(phase);
+    fn num_channels(&self) -> usize {
+        CsdfGraph::num_channels(self)
     }
-    for &cid in g.outgoing(a) {
-        tokens[cid.index()] += g.channel(cid).production(phase);
+
+    fn initial_tokens(&self, c: ChannelId) -> u64 {
+        self.channels[c.index()].initial_tokens
+    }
+
+    fn phases(&self, a: ActorId) -> usize {
+        self.actors[a.index()].times.len()
+    }
+
+    fn phase_time(&self, a: ActorId, phase: usize) -> Time {
+        self.actors[a.index()].times[phase]
+    }
+
+    fn consumption(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)> {
+        let rate = move |c: usize| {
+            (
+                ChannelId::from_index(c),
+                self.channels[c].consumption[phase],
+            )
+        };
+        self.incoming[a.index()].iter().map(move |c| rate(c.0))
+    }
+
+    fn production(&self, a: ActorId, phase: usize) -> impl Iterator<Item = (ChannelId, u64)> {
+        let rate = move |c: usize| (ChannelId::from_index(c), self.channels[c].production[phase]);
+        self.outgoing[a.index()].iter().map(move |c| rate(c.0))
     }
 }
 
@@ -146,71 +124,41 @@ pub struct CsdfSymbolic {
 
 /// Executes one iteration symbolically (the paper's Algorithm 1, at phase
 /// granularity) and returns the max-plus matrix over the initial tokens.
+/// Runs uncapped; [`symbolic_iteration_capped`] bounds it.
 ///
 /// # Errors
 ///
-/// See [`sequential_schedule`].
+/// See [`symbolic_iteration_capped`].
 pub fn symbolic_iteration(g: &CsdfGraph) -> Result<CsdfSymbolic, SdfError> {
-    let rep = repetition_vector(g)?;
-    let schedule = sequential_schedule(g, &rep)?;
+    symbolic_iteration_capped(g, &Budget::unlimited())
+}
 
-    let mut tokens = Vec::new();
-    for (cid, ch) in g.channels() {
-        for position in 0..ch.initial_tokens() {
-            tokens.push((cid, position));
-        }
-    }
-    let n = tokens.len();
-    let mut queues: Vec<VecDeque<(MpVector, u64)>> =
-        g.channels().map(|_| VecDeque::new()).collect();
-    for (idx, &(cid, _)) in tokens.iter().enumerate() {
-        queues[cid.index()].push_back((MpVector::unit(n, idx), 1));
-    }
-
-    for &(a, phase) in &schedule.firings {
-        let mut start = MpVector::neg_inf(n);
-        for &cid in g.incoming(a) {
-            let mut need = g.channel(cid).consumption(phase);
-            while need > 0 {
-                let (stamp, count) = queues[cid.index()]
-                    .front_mut()
-                    .expect("schedule guarantees availability");
-                start = start.join(stamp).expect("stamps share length");
-                if *count > need {
-                    *count -= need;
-                    need = 0;
-                } else {
-                    need -= *count;
-                    queues[cid.index()].pop_front();
-                }
-            }
-        }
-        let end = start.shift(g.actor(a).phase_time(phase));
-        for &cid in g.outgoing(a) {
-            let produced = g.channel(cid).production(phase);
-            if produced > 0 {
-                queues[cid.index()].push_back((end.clone(), produced));
-            }
-        }
-    }
-
-    let mut rows = Vec::with_capacity(n);
-    for &(cid, position) in &tokens {
-        let mut pos = position;
-        let mut found = None;
-        for (stamp, count) in &queues[cid.index()] {
-            if pos < *count {
-                found = Some(stamp.clone());
-                break;
-            }
-            pos -= count;
-        }
-        rows.push(found.expect("iteration restores the token distribution"));
-    }
+/// [`symbolic_iteration`] under `budget`: the size cap bounds the number
+/// of initial tokens (the matrix dimension), the firing cap and deadline
+/// bound the phase firings. The phase firings run greedily on the shared
+/// [`SymbolicEngine`], which keeps no checkpoints and leaves no archive.
+///
+/// # Errors
+///
+/// [`SdfError::Inconsistent`] without a repetition vector,
+/// [`SdfError::Deadlock`] if the iteration cannot complete,
+/// [`SdfError::Overflow`] past the integer range, and
+/// [`SdfError::Exhausted`] when `budget` runs out.
+pub fn symbolic_iteration_capped(g: &CsdfGraph, budget: &Budget) -> Result<CsdfSymbolic, SdfError> {
+    let repetition = repetition_vector(g)?;
+    let mut meter = budget.meter();
+    let mut engine =
+        SymbolicEngine::new(Arc::new(g.clone()), &repetition.cycles, false, &mut meter)?;
+    engine.run_greedy(&mut meter)?;
+    let sym = engine.finish();
     Ok(CsdfSymbolic {
-        matrix: MpMatrix::from_row_vectors(rows).expect("rows share length"),
-        tokens,
-        repetition: rep,
+        matrix: sym.matrix,
+        tokens: sym
+            .tokens
+            .iter()
+            .map(|t| (CsdfChannelId(t.channel.index()), t.position))
+            .collect(),
+        repetition,
     })
 }
 
@@ -304,23 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_phase_accurate() {
-        let g = two_phase();
-        let rep = repetition_vector(&g).unwrap();
-        let s = sequential_schedule(&g, &rep).unwrap();
-        assert_eq!(s.firings.len(), 4);
-        // Phases of each actor appear in cyclic order.
-        let p = g.actor_by_name("p").unwrap();
-        let phases: Vec<usize> = s
-            .firings
-            .iter()
-            .filter(|(a, _)| *a == p)
-            .map(|&(_, ph)| ph)
-            .collect();
-        assert_eq!(phases, vec![0, 1]);
-    }
-
-    #[test]
     fn throughput_and_hsdf_agree() {
         let g = two_phase();
         let thr = throughput(&g).unwrap();
@@ -358,7 +289,8 @@ mod tests {
         b.channel(y, x, [0, 1], [0, 1], 0).unwrap();
         let g = b.build().unwrap();
         let rep = repetition_vector(&g).unwrap();
-        assert!(sequential_schedule(&g, &rep).is_ok());
+        let cap = Budget::unlimited().with_max_firings(rep.iteration_length(&g));
+        assert!(symbolic_iteration_capped(&g, &cap).is_ok());
         assert!(symbolic_iteration(&g).is_ok());
 
         // The aggregate SDF (rates 1:1 both ways, zero tokens) deadlocks.
@@ -405,6 +337,39 @@ mod tests {
         assert_eq!(sym.matrix.num_rows(), 6);
         assert_eq!(sym.tokens.len(), 6);
         assert!(sym.matrix.eigenvalue().is_some());
+    }
+
+    #[test]
+    fn caps_bound_tokens_and_phase_firings() {
+        use sdfr_graph::budget::BudgetResource::{Firings, Size};
+        // 6 initial tokens, 4 phase firings per iteration.
+        let g = two_phase();
+        let run = |budget: Budget| symbolic_iteration_capped(&g, &budget);
+        let too_small = [
+            (Budget::unlimited().with_max_size(5), Size),
+            (Budget::unlimited().with_max_firings(3), Firings),
+        ];
+        for (budget, resource) in too_small {
+            assert!(
+                matches!(run(budget), Err(SdfError::Exhausted { resource: r, .. }) if r == resource)
+            );
+        }
+        let sym = run(Budget::unlimited().with_max_size(6).with_max_firings(4)).unwrap();
+        assert_eq!(sym.matrix, symbolic_iteration(&g).unwrap().matrix);
+    }
+
+    #[test]
+    fn stamp_overflow_is_an_error() {
+        // Two phases of 2^62 on a one-token self-loop: the second phase's
+        // end stamp is 2^63, one past the time range.
+        let mut b = CsdfGraph::builder("w");
+        let w = b.actor("w", [1 << 62, 1 << 62]);
+        b.channel(w, w, [1, 1], [1, 1], 1).unwrap();
+        let g = b.build().unwrap();
+        assert!(matches!(
+            symbolic_iteration(&g),
+            Err(SdfError::Overflow { .. })
+        ));
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //!
 //! - [`CsdfGraph`] — the model and its validated construction,
 //! - [`repetition_vector`] — cycle-level consistency,
-//! - [`sequential_schedule`] — a phase-accurate PASS,
 //! - [`symbolic_iteration`] — the max-plus matrix of one iteration
-//!   (Algorithm 1 at phase granularity),
+//!   (Algorithm 1 at phase granularity, run on the shared
+//!   [`SymbolicEngine`](sdfr_core::SymbolicEngine) with
+//!   [`CsdfGraph`] as its firing source), capped by a
+//!   [`Budget`](sdfr_graph::budget::Budget) in
+//!   [`symbolic_iteration_capped`],
 //! - [`throughput`] — the exact iteration period,
 //! - [`to_hsdf`] — the paper's novel compact conversion, applied to CSDF.
 //!
@@ -48,7 +51,7 @@ mod analysis;
 mod graph;
 
 pub use analysis::{
-    hsdf_from_symbolic, repetition_vector, sequential_schedule, symbolic_iteration, throughput,
-    throughput_from_symbolic, to_hsdf, CsdfRepetition, CsdfSchedule, CsdfSymbolic, CsdfThroughput,
+    hsdf_from_symbolic, repetition_vector, symbolic_iteration, symbolic_iteration_capped,
+    throughput, throughput_from_symbolic, to_hsdf, CsdfRepetition, CsdfSymbolic, CsdfThroughput,
 };
 pub use graph::{CsdfActorId, CsdfBuilder, CsdfChannelId, CsdfGraph};

@@ -1,6 +1,7 @@
 //! Property tests for the cyclo-static extension: the compact HSDF
-//! conversion preserves the iteration period, and serialization round-trips
-//! — on random live CSDF graphs.
+//! conversion preserves the iteration period, serialization round-trips,
+//! and one iteration costs exactly its phase firings — on random live CSDF
+//! graphs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,6 +10,8 @@ use rand::SeedableRng;
 use sdf_reductions::analysis::throughput::hsdf_period;
 use sdf_reductions::benchmarks::random::{random_live_csdf, RandomSdfConfig};
 use sdf_reductions::csdf;
+use sdf_reductions::graph::budget::Budget;
+use sdf_reductions::graph::SdfError;
 use sdf_reductions::io::csdf as csdf_io;
 
 fn config() -> RandomSdfConfig {
@@ -44,13 +47,17 @@ proptest! {
         prop_assert_eq!(&csdf_io::from_xml(&csdf_io::to_xml(&g)).unwrap(), &g);
     }
 
-    /// Phase-level iteration lengths and schedules agree.
+    /// One iteration is exactly the phase-level iteration length: it
+    /// completes under that firing cap and exhausts one firing below it.
     #[test]
     fn csdf_schedule_covers_iteration(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_live_csdf(&mut rng, &config());
         let rep = csdf::repetition_vector(&g).unwrap();
-        let s = csdf::sequential_schedule(&g, &rep).unwrap();
-        prop_assert_eq!(s.firings.len() as u64, rep.iteration_length(&g));
+        let len = rep.iteration_length(&g);
+        let cap = |n| Budget::unlimited().with_max_firings(n);
+        prop_assert!(csdf::symbolic_iteration_capped(&g, &cap(len)).is_ok(), "{}", g);
+        let short = csdf::symbolic_iteration_capped(&g, &cap(len - 1));
+        prop_assert!(matches!(short, Err(SdfError::Exhausted { .. })), "{}", g);
     }
 }
