@@ -32,7 +32,8 @@ pub struct Bottleneck {
 /// # Errors
 ///
 /// - [`SdfError::Inconsistent`] if `g` has no repetition vector,
-/// - [`SdfError::Deadlock`] if an iteration cannot execute.
+/// - [`SdfError::Deadlock`] if an iteration cannot execute,
+/// - [`SdfError::Overflow`] as [`bottleneck_from_symbolic`].
 ///
 /// # Example
 ///
@@ -54,19 +55,33 @@ pub struct Bottleneck {
 /// ```
 pub fn bottleneck(g: &SdfGraph) -> Result<Option<Bottleneck>, SdfError> {
     let sym = symbolic_iteration(g)?;
-    Ok(bottleneck_from_symbolic(g, &sym))
+    bottleneck_from_symbolic(g, &sym)
 }
 
 /// Identifies the bottleneck from an already-computed symbolic iteration of
 /// `g` (e.g. the one cached in an
 /// [`AnalysisSession`](crate::session::AnalysisSession)), so callers that
 /// need both the throughput and the bottleneck pay for one iteration only.
-pub fn bottleneck_from_symbolic(g: &SdfGraph, sym: &SymbolicIteration) -> Option<Bottleneck> {
+///
+/// # Errors
+///
+/// [`SdfError::Overflow`] if the critical-cycle potentials at λ do not fit
+/// in `i64`.
+pub fn bottleneck_from_symbolic(
+    g: &SdfGraph,
+    sym: &SymbolicIteration,
+) -> Result<Option<Bottleneck>, SdfError> {
     if sym.num_tokens() == 0 {
-        return None;
+        return Ok(None);
     }
-    let period = sym.matrix.eigenvalue()?;
-    let critical = closure::critical_nodes(&sym.matrix).expect("iteration matrix is square");
+    let Some(period) = sym.matrix.eigenvalue() else {
+        return Ok(None);
+    };
+    // λ is the eigenvalue of the square matrix: overflow is the only error.
+    let critical =
+        closure::critical_nodes(&sym.matrix, period).map_err(|_| SdfError::Overflow {
+            what: "critical-cycle potentials",
+        })?;
     let tokens: Vec<TokenRef> = critical.iter().map(|&i| sym.tokens[i]).collect();
 
     let mut channels: Vec<ChannelId> = tokens.iter().map(|t| t.channel).collect();
@@ -83,12 +98,12 @@ pub fn bottleneck_from_symbolic(g: &SdfGraph, sym: &SymbolicIteration) -> Option
     actors.sort_unstable();
     actors.dedup();
 
-    Some(Bottleneck {
+    Ok(Some(Bottleneck {
         period,
         tokens,
         channels,
         actors,
-    })
+    }))
 }
 
 #[cfg(test)]

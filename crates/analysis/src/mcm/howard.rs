@@ -10,6 +10,7 @@
 //! nodes with no outgoing or no incoming edges). On the core every policy
 //! path reaches a cycle, which keeps the evaluation step total.
 
+use sdfr_graph::SdfError;
 use sdfr_maxplus::Rational;
 
 use super::{CycleRatio, CycleRatioGraph, Edge};
@@ -18,17 +19,64 @@ use super::{CycleRatio, CycleRatioGraph, Edge};
 ///
 /// # Panics
 ///
-/// Panics if the algorithm fails to converge within a generous internal
-/// bound — this would indicate a bug, not a property of the input.
+/// Panics if the exact arithmetic leaves the `i64` range of [`Rational`]
+/// (see [`maximum_cycle_ratio_checked`] for the error form), or if the
+/// algorithm fails to converge within a generous internal bound — this
+/// would indicate a bug, not a property of the input.
 pub fn maximum_cycle_ratio(g: &CycleRatioGraph) -> CycleRatio {
+    maximum_cycle_ratio_checked(g).expect("rational arithmetic overflow")
+}
+
+/// [`maximum_cycle_ratio`] with its rational arithmetic checked.
+///
+/// # Errors
+///
+/// [`SdfError::Overflow`] when a cycle ratio or a policy potential does
+/// not fit the `i64` range of [`Rational`].
+pub(crate) fn maximum_cycle_ratio_checked(g: &CycleRatioGraph) -> Result<CycleRatio, SdfError> {
     if g.has_zero_token_cycle() {
-        return CycleRatio::ZeroTokenCycle;
+        return Ok(CycleRatio::ZeroTokenCycle);
     }
     let core = CyclicCore::of(g);
     if core.n == 0 {
-        return CycleRatio::Acyclic;
+        return Ok(CycleRatio::Acyclic);
     }
-    CycleRatio::Finite(core.howard())
+    core.howard()
+        .map(CycleRatio::Finite)
+        .ok_or(SdfError::Overflow {
+            what: "maximum cycle ratio",
+        })
+}
+
+/// `num / den` (`den > 0`) in canonical form, or `None` when it does not
+/// fit the `i64` range of [`Rational`].
+fn ratio(num: i128, den: i128) -> Option<Rational> {
+    let (mut a, mut b) = (num.unsigned_abs(), den.unsigned_abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    let g = a as i128;
+    Some(Rational::new(
+        i64::try_from(num / g).ok()?,
+        i64::try_from(den / g).ok()?,
+    ))
+}
+
+fn parts(q: Rational) -> (i128, i128) {
+    (i128::from(q.numer()), i128::from(q.denom()))
+}
+
+/// The value `weight − r·tokens + v` that edge `e` offers its source
+/// under cycle ratio `r` and target potential `v`, evaluated as
+/// [`Rational`]'s own operators would (same `i128` intermediates, same
+/// order), but `None` where they would panic.
+fn offer(e: &Edge, r: Rational, v: Rational) -> Option<Rational> {
+    let (rn, rd) = parts(r);
+    let r_t = ratio(rn * i128::from(i64::try_from(e.tokens).ok()?), rd)?;
+    let (tn, td) = parts(r_t);
+    let head = ratio(i128::from(e.weight) * td - tn, td)?;
+    let ((hn, hd), (vn, vd)) = (parts(head), parts(v));
+    ratio(hn * vd + vn * hd, hd * vd)
 }
 
 /// The subgraph induced by nodes that lie on or between cycles, with dense
@@ -94,8 +142,8 @@ impl CyclicCore {
     }
 
     /// Policy iteration on the core; every node has an outgoing edge, so
-    /// every policy path reaches a policy cycle.
-    fn howard(&self) -> Rational {
+    /// every policy path reaches a policy cycle. `None` on overflow.
+    fn howard(&self) -> Option<Rational> {
         let n = self.n;
         let mut policy: Vec<usize> = (0..n)
             .map(|u| {
@@ -108,16 +156,14 @@ impl CyclicCore {
 
         let cap = 100 * (n + 1) * (self.edges.len() + 1);
         for _ in 0..cap {
-            let (lambda, value) = self.evaluate(&policy);
+            let (lambda, value) = self.evaluate(&policy)?;
             let mut improved = false;
             for u in 0..n {
                 let mut best_key = (lambda[u], value[u]);
                 let mut best_eid = policy[u];
                 for &eid in &self.out[u] {
                     let e = self.edges[eid];
-                    let cand_value = Rational::from(e.weight)
-                        - lambda[e.to] * Rational::from(e.tokens as i64)
-                        + value[e.to];
+                    let cand_value = offer(&e, lambda[e.to], value[e.to])?;
                     let cand_key = (lambda[e.to], cand_value);
                     if cand_key > best_key {
                         best_key = cand_key;
@@ -128,14 +174,15 @@ impl CyclicCore {
                 policy[u] = best_eid;
             }
             if !improved {
-                return lambda.into_iter().max().expect("core is non-empty");
+                return Some(lambda.into_iter().max().expect("core is non-empty"));
             }
         }
         panic!("Howard's algorithm failed to converge; this is a bug");
     }
 
-    /// Evaluates the policy: per-node cycle ratio and potential.
-    fn evaluate(&self, policy: &[usize]) -> (Vec<Rational>, Vec<Rational>) {
+    /// Evaluates the policy: per-node cycle ratio and potential, or `None`
+    /// on overflow.
+    fn evaluate(&self, policy: &[usize]) -> Option<(Vec<Rational>, Vec<Rational>)> {
         let n = self.n;
         let mut lambda = vec![Rational::ZERO; n];
         let mut value = vec![Rational::ZERO; n];
@@ -157,7 +204,7 @@ impl CyclicCore {
                     1 => {
                         // New policy cycle: suffix of `path` starting at v.
                         let cpos = path.iter().position(|&x| x == v).expect("v on path");
-                        self.resolve_cycle(policy, &path[cpos..], &mut lambda, &mut value);
+                        self.resolve_cycle(policy, &path[cpos..], &mut lambda, &mut value)?;
                         for &w in &path[cpos..] {
                             state[w] = 2;
                         }
@@ -174,29 +221,28 @@ impl CyclicCore {
                 let e = self.edges[policy[u]];
                 debug_assert_eq!(state[e.to], 2, "successor resolved first");
                 lambda[u] = lambda[e.to];
-                value[u] = Rational::from(e.weight)
-                    - lambda[e.to] * Rational::from(e.tokens as i64)
-                    + value[e.to];
+                value[u] = offer(&e, lambda[e.to], value[e.to])?;
                 state[u] = 2;
             }
         }
-        (lambda, value)
+        Some((lambda, value))
     }
 
-    /// Computes the ratio of a policy cycle and the potentials of its nodes.
+    /// Computes the ratio of a policy cycle and the potentials of its
+    /// nodes, or `None` on overflow.
     fn resolve_cycle(
         &self,
         policy: &[usize],
         cycle: &[usize],
         lambda: &mut [Rational],
         value: &mut [Rational],
-    ) {
+    ) -> Option<()> {
         let mut weight_sum: i64 = 0;
         let mut token_sum: i64 = 0;
         for &u in cycle {
             let e = self.edges[policy[u]];
-            weight_sum += e.weight;
-            token_sum += e.tokens as i64;
+            weight_sum = weight_sum.checked_add(e.weight)?;
+            token_sum = token_sum.checked_add(i64::try_from(e.tokens).ok()?)?;
         }
         debug_assert!(token_sum > 0, "zero-token cycles are screened out earlier");
         let r = Rational::new(weight_sum, token_sum);
@@ -208,8 +254,9 @@ impl CyclicCore {
             let u = cycle[i];
             let e = self.edges[policy[u]];
             lambda[u] = r;
-            value[u] = Rational::from(e.weight) - r * Rational::from(e.tokens as i64) + value[e.to];
+            value[u] = offer(&e, r, value[e.to])?;
         }
+        Some(())
     }
 }
 
@@ -294,6 +341,35 @@ mod tests {
             maximum_cycle_ratio(&g),
             CycleRatio::Finite(Rational::new(5, 1))
         );
+    }
+
+    /// `x ⇄ y` with times 3e18 and 3e18+1 over 1 + 2 tokens: the ratio
+    /// (6e18+1)/3 fits, but the potential step `λ·2` does not.
+    fn overflowing_pair() -> CycleRatioGraph {
+        let mut g = CycleRatioGraph::new(2);
+        g.add_edge(0, 1, 3_000_000_000_000_000_000, 1);
+        g.add_edge(1, 0, 3_000_000_000_000_000_001, 2);
+        g
+    }
+
+    #[test]
+    fn overflow_is_an_error_in_the_checked_core() {
+        assert_eq!(
+            maximum_cycle_ratio_checked(&overflowing_pair()),
+            Err(SdfError::Overflow {
+                what: "maximum cycle ratio"
+            })
+        );
+        // Token counts beyond i64 are refused, not wrapped.
+        let mut g = CycleRatioGraph::new(1);
+        g.add_edge(0, 0, 1, u64::MAX);
+        assert!(maximum_cycle_ratio_checked(&g).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflow")]
+    fn public_form_panics_on_overflow() {
+        let _ = maximum_cycle_ratio(&overflowing_pair());
     }
 
     #[test]

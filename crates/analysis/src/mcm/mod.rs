@@ -15,7 +15,7 @@
 //!   for small graphs.
 
 use sdfr_graph::{SdfError, SdfGraph};
-use sdfr_maxplus::Rational;
+use sdfr_maxplus::{closure, Rational};
 
 pub mod enumerate;
 pub mod howard;
@@ -283,41 +283,26 @@ mod tests {
 
 /// Extracts one *critical cycle* — a cycle whose ratio equals the maximum
 /// cycle ratio — as a list of edge indices in traversal order, or `None`
-/// if the graph is acyclic or has a zero-token cycle.
+/// if the graph is acyclic, has a zero-token cycle, or its potentials do
+/// not fit in `i64`.
 ///
-/// The construction runs converged longest-path relaxation on the reduced
-/// weights `w − λ·t` (integer-scaled by the denominator of λ) and searches
-/// the subgraph of *tight* edges, which necessarily contains a cycle of
-/// reduced weight zero.
+/// The construction takes the longest-path potentials at λ
+/// ([`closure::potentials`]) and searches the subgraph of *tight* edges,
+/// which necessarily contains a cycle of reduced weight zero.
 pub fn critical_cycle(g: &CycleRatioGraph) -> Option<Vec<usize>> {
     let CycleRatio::Finite(lambda) = maximum_cycle_ratio(g) else {
         return None;
     };
     let n = g.num_nodes();
-    let (s, num) = (lambda.denom(), lambda.numer());
-    let reduced = |e: &Edge| -> i64 { s * e.weight - num * e.tokens as i64 };
-
-    // Longest-path relaxation from a virtual source; converges because no
-    // cycle has positive reduced weight.
-    let mut dist = vec![0i64; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for e in g.edges() {
-            let cand = dist[e.from] + reduced(e);
-            if cand > dist[e.to] {
-                dist[e.to] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Tight subgraph: edges with dist[to] == dist[from] + reduced.
+    let edges = g.edges().iter().map(|e| (e.from, e.to, e.weight, e.tokens));
+    let dist = closure::potentials(n, edges, lambda).ok()?;
+    let (s, num) = (i128::from(lambda.denom()), i128::from(lambda.numer()));
+    // Tight subgraph: edges with dist[to] == dist[from] + reduced weight.
     let tight: Vec<Vec<usize>> = {
         let mut adj = vec![Vec::new(); n];
         for (eid, e) in g.edges().iter().enumerate() {
-            if dist[e.to] == dist[e.from] + reduced(e) {
+            let reduced = s * i128::from(e.weight) - num * i128::from(e.tokens);
+            if i128::from(dist[e.to] - dist[e.from]) == reduced {
                 adj[e.from].push(eid);
             }
         }

@@ -581,13 +581,14 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// See [`Self::symbolic`].
+    /// See [`Self::symbolic`], plus [`SdfError::Overflow`] as
+    /// [`bottleneck_from_symbolic`].
     pub fn bottleneck(&self) -> Result<Option<Bottleneck>, SdfError> {
         self.bottleneck
             .get_or_init(|| {
                 let sym = self.symbolic()?;
                 self.miss();
-                Ok(bottleneck_from_symbolic(&self.graph, sym))
+                bottleneck_from_symbolic(&self.graph, sym)
             })
             .clone()
     }
@@ -636,11 +637,11 @@ impl AnalysisSession {
     ///
     /// HSDF graphs produced by the traditional conversion have `Σγ(a)`
     /// actors — potentially exponential in the original description — and
-    /// schedule synthesis runs an `O(n³)` Kleene star over them. The size
-    /// cap rejects oversized inputs before the `n×n` constraint matrix is
-    /// allocated; the deadline and cancellation flag are polled before and
-    /// after the closure. Each call charges a fresh meter, not the session
-    /// total.
+    /// schedule synthesis runs Howard's policy iteration and a sparse
+    /// longest-path relaxation over them. The size cap rejects oversized
+    /// inputs before any per-actor state is allocated; the deadline and
+    /// cancellation flag are polled before and after the cycle-ratio
+    /// solve. Each call charges a fresh meter, not the session total.
     ///
     /// Not memoized: the result is large and typically requested once.
     ///

@@ -12,12 +12,13 @@
 //! A feasible schedule exists iff `μ` is at least the maximum cycle ratio —
 //! so the minimal (rate-optimal) period equals the iteration period λ
 //! (Govindarajan & Gao, the paper's ref. 10). The start times are
-//! longest-path potentials of the constraint graph, computed with the
-//! max-plus Kleene star at an integer scale that clears λ's denominator.
+//! longest-path potentials of the constraint graph, computed by sparse
+//! relaxation over the channel list ([`closure::potentials`]) at an
+//! integer scale that clears λ's denominator.
 
 use sdfr_graph::budget::{Budget, BudgetMeter};
 use sdfr_graph::{ActorId, SdfError, SdfGraph, Time};
-use sdfr_maxplus::{closure, Mp, MpMatrix, MpVector, Rational};
+use sdfr_maxplus::{closure, MpError, Rational};
 
 use crate::throughput::hsdf_period;
 use crate::CycleRatio;
@@ -73,12 +74,14 @@ impl StaticSchedule {
     }
 
     /// Checks admissibility against the graph: every channel constraint
-    /// `s(b) − s(a) ≥ scale·T(a) − scaled_period·d` holds.
+    /// `s(b) − s(a) ≥ scale·T(a) − scaled_period·d` holds (evaluated in
+    /// `i128`, so no term can wrap).
     pub fn is_admissible(&self, g: &SdfGraph) -> bool {
         g.channels().all(|(_, c)| {
-            let lhs = self.starts[c.target().index()] - self.starts[c.source().index()];
-            let rhs = self.scale * g.actor(c.source()).execution_time()
-                - self.scaled_period * c.initial_tokens() as i64;
+            let start = |a: ActorId| i128::from(self.starts[a.index()]);
+            let lhs = start(c.target()) - start(c.source());
+            let rhs = i128::from(self.scale) * i128::from(g.actor(c.source()).execution_time())
+                - i128::from(self.scaled_period) * i128::from(c.initial_tokens());
             lhs >= rhs
         })
     }
@@ -93,7 +96,9 @@ impl StaticSchedule {
 /// # Errors
 ///
 /// - [`SdfError::NotHomogeneous`] for multirate graphs (convert first),
-/// - [`SdfError::Deadlock`] if the graph has a zero-token cycle.
+/// - [`SdfError::Deadlock`] if the graph has a zero-token cycle,
+/// - [`SdfError::Overflow`] if the period or a scaled start time does not
+///   fit in `i64`.
 ///
 /// # Example
 ///
@@ -118,9 +123,9 @@ pub fn rate_optimal_schedule(g: &SdfGraph) -> Result<Option<StaticSchedule>, Sdf
 }
 
 /// [`rate_optimal_schedule`] charged to `meter`: the size cap admits the
-/// `n×n` constraint matrix before it is allocated, and the deadline and
-/// cancellation flag are polled before and after the closure. The capped
-/// form is
+/// actor count before any per-actor state is allocated, and the deadline
+/// and cancellation flag are polled before and after the cycle-ratio
+/// solve. The capped form is
 /// [`AnalysisSession::rate_optimal_schedule`](crate::AnalysisSession::rate_optimal_schedule).
 pub(crate) fn synthesize_rate_optimal(
     g: &SdfGraph,
@@ -148,7 +153,9 @@ pub(crate) fn synthesize_rate_optimal(
 ///
 /// - [`SdfError::NotHomogeneous`] for multirate graphs,
 /// - [`SdfError::Deadlock`] if `mu` is below the iteration period (no
-///   admissible schedule exists) or the graph has a zero-token cycle.
+///   admissible schedule exists) or the graph has a zero-token cycle,
+/// - [`SdfError::Overflow`] if the iteration period or a scaled start
+///   time does not fit in `i64`.
 pub fn schedule_with_period(g: &SdfGraph, mu: Rational) -> Result<StaticSchedule, SdfError> {
     match hsdf_period(g)? {
         CycleRatio::Finite(lambda) if mu >= lambda => schedule_for(g, mu),
@@ -160,39 +167,30 @@ pub fn schedule_with_period(g: &SdfGraph, mu: Rational) -> Result<StaticSchedule
     }
 }
 
-/// Longest-path potentials of the constraint graph at period `mu`.
+/// Longest-path potentials of the constraint graph at period `mu`: the
+/// least non-negative starts satisfying every channel constraint.
 fn schedule_for(g: &SdfGraph, mu: Rational) -> Result<StaticSchedule, SdfError> {
-    let n = g.num_actors();
-    let scale = mu.denom();
-    let scaled_period = mu.numer();
-    // Constraint matrix M[b][a] = scale·T(a) − scaled_period·d, maximised
-    // over parallel channels.
-    let mut m = MpMatrix::neg_inf(n, n);
-    for (_, c) in g.channels() {
-        let w = scale * g.actor(c.source()).execution_time()
-            - scaled_period * c.initial_tokens() as i64;
-        let (i, j) = (c.target().index(), c.source().index());
-        if Mp::fin(w) > m.get(i, j) {
-            m.set(i, j, Mp::fin(w));
-        }
-    }
-    let star = closure::star(&m)
-        .expect("square by construction")
-        .closure()
-        .ok_or(SdfError::Deadlock {
+    let edges = g.channels().map(|(_, c)| {
+        let t = g.actor(c.source()).execution_time();
+        (
+            c.source().index(),
+            c.target().index(),
+            t,
+            c.initial_tokens(),
+        )
+    });
+    let starts = closure::potentials(g.num_actors(), edges, mu).map_err(|e| match e {
+        MpError::Overflow => SdfError::Overflow {
+            what: "static schedule start times",
+        },
+        _ => SdfError::Deadlock {
             fired: 0,
-            needed: n as u64,
-        })?;
-    // s = M* ⊗ 0: the least non-negative potentials satisfying all
-    // constraints.
-    let starts_vec = star.apply(&MpVector::zeros(n)).expect("dimensions agree");
-    let starts = starts_vec
-        .iter()
-        .map(|e| e.finite().expect("star of a finite seed is finite"))
-        .collect();
+            needed: g.num_actors() as u64,
+        },
+    })?;
     Ok(StaticSchedule {
-        scale,
-        scaled_period,
+        scale: mu.denom(),
+        scaled_period: mu.numer(),
         starts,
     })
 }
@@ -360,6 +358,34 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(ok.period(), Rational::from(5));
+    }
+
+    #[test]
+    fn start_times_beyond_i64_are_an_overflow() {
+        // λ = (4e18+1)/3, so y's scaled start is 3·T(x) = 1.2e19.
+        let mut b = SdfGraph::builder("big");
+        let x = b.actor("x", 4_000_000_000_000_000_000);
+        let y = b.actor("y", 1);
+        b.channel(x, x, 1, 1, 3).unwrap();
+        b.channel(x, y, 1, 1, 0).unwrap();
+        b.channel(y, x, 1, 1, 3).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(
+            rate_optimal_schedule(&g),
+            Err(SdfError::Overflow {
+                what: "static schedule start times"
+            })
+        );
+        // Alone, x's loop schedules: 3·T(x) leaves i64, but the reduced
+        // weight 3·T(x) − 3·λ = 0 and the admissibility check do not.
+        let mut b = SdfGraph::builder("loop");
+        let x = b.actor("x", 4_000_000_000_000_000_000);
+        b.channel(x, x, 1, 1, 3).unwrap();
+        let g = b.build().unwrap();
+        let s = rate_optimal_schedule(&g).unwrap().unwrap();
+        assert_eq!(s.period(), Rational::new(4_000_000_000_000_000_000, 3));
+        assert_eq!(s.scaled_start(x), 0);
+        assert!(s.is_admissible(&g));
     }
 
     #[test]

@@ -226,10 +226,11 @@ pub fn estimate_period_simulated(
 ///
 /// # Errors
 ///
-/// Returns [`SdfError::NotHomogeneous`] if any rate differs from 1.
+/// - [`SdfError::NotHomogeneous`] if any rate differs from 1,
+/// - [`SdfError::Overflow`] if Howard's exact arithmetic leaves `i64`.
 pub fn hsdf_period(g: &SdfGraph) -> Result<CycleRatio, SdfError> {
     let crg = CycleRatioGraph::from_hsdf(g)?;
-    Ok(mcm::maximum_cycle_ratio(&crg))
+    mcm::howard::maximum_cycle_ratio_checked(&crg)
 }
 
 #[cfg(test)]

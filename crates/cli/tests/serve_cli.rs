@@ -1222,6 +1222,41 @@ fn hostile_csdf_bodies_cannot_take_the_server_down() {
     assert_eq!(status, 200, "{stats}");
 }
 
+/// A scenario workload whose critical-cycle potentials leave `i64` is
+/// answered as an invalid-graph record (422), not a panicked handler, and
+/// the server keeps serving.
+#[test]
+fn sadf_critical_cycle_overflow_is_a_record_not_a_panic() {
+    let server = Server::start(&[]);
+    let scenario = |name: &str, tx: &str| {
+        format!(
+            "scenario {name}\n  actor x {tx}\n  actor y 1\n  channel x x 1 1 3\n  \
+             channel x y 1 1 0\n  channel y x 1 1 3\nend\n"
+        )
+    };
+    let content = format!(
+        "sadf big\n{}{}state s0 s\nstate s1 t\ntransition s0 s1 0\n\
+         transition s1 s0 0\ninitial s0\n",
+        scenario("s", "4000000000000000000"),
+        scenario("t", "1")
+    );
+    let body = format!(
+        r#"{{"schema":"sdfr-api/1","graphs":[{{"name":"big.sadf","content":"{}"}}]}}"#,
+        content.replace('\n', "\\n")
+    );
+    let (status, answer) = http(&server.addr, "POST", "/v1/sadf", &body);
+    assert_eq!(status, 422, "{answer}");
+    assert!(
+        answer.contains(
+            "\"error\":\"big.sadf: integer overflow while computing \
+             critical-cycle potentials\",\"exit\":1}"
+        ),
+        "{answer}"
+    );
+    let (status, stats) = http(&server.addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats}");
+}
+
 /// A tagged request with an unknown workload kind is refused before any
 /// graph work, with the machine-readable list of kinds this build speaks.
 #[test]

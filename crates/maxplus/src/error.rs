@@ -32,6 +32,11 @@ pub enum MpError {
         /// Number of columns.
         cols: usize,
     },
+    /// A longest-path problem has a positive-weight cycle, so it has no
+    /// finite potentials.
+    PositiveCycle,
+    /// A reduced edge weight or a potential does not fit in `i64`.
+    Overflow,
 }
 
 impl fmt::Display for MpError {
@@ -56,6 +61,8 @@ impl fmt::Display for MpError {
             MpError::NotSquare { rows, cols } => {
                 write!(f, "operation requires a square matrix, got {rows}x{cols}")
             }
+            MpError::PositiveCycle => write!(f, "positive-weight cycle: no finite potentials"),
+            MpError::Overflow => write!(f, "potential or reduced weight overflows i64"),
         }
     }
 }
@@ -82,5 +89,7 @@ mod tests {
         assert!(e.to_string().contains("apply"));
         let e = MpError::NotSquare { rows: 2, cols: 3 };
         assert!(e.to_string().contains("2x3"));
+        assert!(MpError::PositiveCycle.to_string().contains("positive"));
+        assert!(MpError::Overflow.to_string().contains("overflow"));
     }
 }

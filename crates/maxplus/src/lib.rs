@@ -16,7 +16,8 @@
 //! - [`MpMatrix`] — dense matrices with `⊗` composition and vector application,
 //! - [`precedence`] — the weighted precedence digraph of a matrix,
 //! - [`eigen`] — the max-plus eigenvalue (maximum cycle mean, Karp's algorithm),
-//! - [`closure`] — Kleene star `A*`, eigenvectors and the critical graph,
+//! - [`closure`] — sparse longest-path potentials, the critical graph, and
+//!   the dense Kleene star `A*` with eigenvectors,
 //! - [`recurrence`] — periodicity detection for `x(k+1) = A ⊗ x(k)`.
 //!
 //! All times are exact `i64` values, so vector comparison, hashing and

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use sdfr_maxplus::{closure, recurrence, Mp, MpMatrix, MpVector, Rational};
+use sdfr_maxplus::{closure, recurrence, Mp, MpError, MpMatrix, MpVector, Rational};
 
 /// Strategy for semiring elements over a bounded range (keeps sums far
 /// from overflow).
@@ -19,6 +19,30 @@ fn matrix() -> impl Strategy<Value = MpMatrix> {
     (1usize..=5)
         .prop_flat_map(|n| proptest::collection::vec(proptest::collection::vec(mp(), n), n))
         .prop_map(|rows| MpMatrix::from_rows(rows).expect("rows share length"))
+}
+
+/// The dense critical-node formula the sparse [`closure::critical_nodes`]
+/// replaced, kept as its oracle: nodes `i` with `B⁺(i, i) = 0` for
+/// `B = s·A − s·λ` and `B⁺ = B ⊗ B*`, where the eigenvalue comes from
+/// [`closure::eigenmode`].
+fn dense_critical_nodes(a: &MpMatrix) -> Result<Vec<usize>, MpError> {
+    let Some(mode) = closure::eigenmode(a)? else {
+        return Ok(Vec::new());
+    };
+    let n = a.num_rows();
+    let scale = mode.scale;
+    let shift = mode.lambda.numer();
+    let mut b = MpMatrix::neg_inf(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            if let Mp::Fin(w) = a.get(i, j) {
+                b.set(i, j, Mp::fin(w * scale - shift));
+            }
+        }
+    }
+    let bstar = closure::star(&b)?.closure().expect("no positive cycles");
+    let bplus = b.matmul(&bstar)?;
+    Ok((0..n).filter(|&i| bplus.get(i, i) == Mp::ZERO).collect())
 }
 
 proptest! {
@@ -207,5 +231,49 @@ proptest! {
         // At least one coordinate is tight (the critical graph is
         // non-empty whenever an eigenvalue exists).
         prop_assert!((0..n).any(|i| av[i] == mode.vector[i] + shift));
+    }
+
+    #[test]
+    fn sparse_critical_nodes_match_the_dense_formula(a in matrix()) {
+        let dense = dense_critical_nodes(&a).unwrap();
+        // An acyclic matrix has no critical nodes at any λ.
+        let lambda = a.eigenvalue().unwrap_or(Rational::ZERO);
+        prop_assert_eq!(closure::critical_nodes(&a, lambda).unwrap(), dense);
+    }
+
+    #[test]
+    fn potentials_are_the_star_applied_to_zero(a in matrix()) {
+        // At the eigenvalue, B* ⊗ 0 over the reduced matrix is the least
+        // fixpoint the sparse relaxation computes; entry A[i][j] is the
+        // edge j → i with one token.
+        let Some(lambda) = a.eigenvalue() else {
+            return Ok(());
+        };
+        let n = a.num_rows();
+        let (s, num) = (lambda.denom(), lambda.numer());
+        let mut b = MpMatrix::neg_inf(n, n);
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                if let Mp::Fin(w) = a.get(i, j) {
+                    b.set(i, j, Mp::fin(w * s - num));
+                    edges.push((j, i, w, 1));
+                }
+            }
+        }
+        let star = closure::star(&b).unwrap().closure().expect("no positive cycles");
+        let dense: Vec<i64> = star
+            .apply(&MpVector::zeros(n))
+            .unwrap()
+            .iter()
+            .map(|e| e.finite().expect("finite seed"))
+            .collect();
+        prop_assert_eq!(closure::potentials(n, edges.iter().copied(), lambda).unwrap(), dense);
+        // Just below the eigenvalue a critical cycle turns positive.
+        let below = lambda - Rational::new(1, 7);
+        prop_assert_eq!(
+            closure::potentials(n, edges, below),
+            Err(MpError::PositiveCycle)
+        );
     }
 }

@@ -388,7 +388,7 @@ fn analyze_lattice(
     }
     let lambda = lattice.eigenvalue();
     let cycle = match lambda {
-        Some(_) => winning_cycle(w, &lattice, n),
+        Some(lambda) => winning_cycle(w, &lattice, lambda, n)?,
         None => Vec::new(),
     };
     Ok((AnalysisOutcome::Exact(lambda), scenarios, cycle))
@@ -400,12 +400,23 @@ fn analyze_lattice(
 /// at the first revisit. Every critical state has a critical FSM
 /// successor (its lattice node lies on a critical cycle whose next node
 /// belongs to a transition target), so the walk cannot get stuck.
-fn winning_cycle(w: &Workload, lattice: &MpMatrix, n: usize) -> Vec<String> {
-    let Ok(nodes) = closure::critical_nodes(lattice) else {
-        return Vec::new();
-    };
+///
+/// Fails with [`SdfError::Overflow`] when the lattice's critical-cycle
+/// potentials at `lambda` do not fit in `i64`.
+fn winning_cycle(
+    w: &Workload,
+    lattice: &MpMatrix,
+    lambda: Rational,
+    n: usize,
+) -> Result<Vec<String>, SadfError> {
+    // λ is the eigenvalue of the square lattice: overflow is the only error.
+    let nodes = closure::critical_nodes(lattice, lambda).map_err(|_| {
+        SadfError::Graph(SdfError::Overflow {
+            what: "critical-cycle potentials",
+        })
+    })?;
     if nodes.is_empty() || n == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let states = w.fsm.states.len();
     let mut critical = vec![false; states];
@@ -423,7 +434,7 @@ fn winning_cycle(w: &Workload, lattice: &MpMatrix, n: usize) -> Vec<String> {
         succ.dedup();
     }
     let Some(start) = (0..states).find(|&s| critical[s]) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let mut walk = vec![start];
     let mut seen = vec![usize::MAX; states];
@@ -433,20 +444,20 @@ fn winning_cycle(w: &Workload, lattice: &MpMatrix, n: usize) -> Vec<String> {
         let Some(&next) = successors[here].first() else {
             // No critical successor: fall back to the critical states in
             // index order rather than a partial walk.
-            return w
+            return Ok(w
                 .fsm
                 .states
                 .iter()
                 .enumerate()
                 .filter(|&(s, _)| critical[s])
                 .map(|(_, (name, _))| name.clone())
-                .collect();
+                .collect());
         };
         if seen[next] != usize::MAX {
-            return walk[seen[next]..]
+            return Ok(walk[seen[next]..]
                 .iter()
                 .map(|&s| w.fsm.states[s].0.clone())
-                .collect();
+                .collect());
         }
         seen[next] = walk.len();
         walk.push(next);
