@@ -65,8 +65,8 @@ pub fn bottleneck(g: &SdfGraph) -> Result<Option<Bottleneck>, SdfError> {
 ///
 /// # Errors
 ///
-/// [`SdfError::Overflow`] if the critical-cycle potentials at λ do not fit
-/// in `i64`.
+/// [`SdfError::Overflow`] if the period or the critical-cycle potentials
+/// at λ do not fit in `i64`.
 pub fn bottleneck_from_symbolic(
     g: &SdfGraph,
     sym: &SymbolicIteration,
@@ -74,7 +74,11 @@ pub fn bottleneck_from_symbolic(
     if sym.num_tokens() == 0 {
         return Ok(None);
     }
-    let Some(period) = sym.matrix.eigenvalue() else {
+    let Some(period) = sym
+        .matrix
+        .eigenvalue()
+        .map_err(SdfError::cycle_ratio_overflow)?
+    else {
         return Ok(None);
     };
     // λ is the eigenvalue of the square matrix: overflow is the only error.

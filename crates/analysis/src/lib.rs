@@ -16,9 +16,9 @@
 //! - [`throughput`](mod@throughput) — exact throughput via the spectral
 //!   (eigenvalue) method and via state-space periodicity detection, plus a
 //!   purely operational estimate from event-driven simulation,
-//! - [`mcm`] — maximum cycle ratio algorithms (Howard, parametric cycle
-//!   improvement, a brute-force enumeration oracle, and critical-cycle
-//!   extraction),
+//! - [`mcm`] — maximum cycle ratio of HSDF graphs on the one routine in
+//!   `sdfr_maxplus::eigen`, critical-cycle extraction, and two oracles
+//!   (parametric cycle improvement, brute-force enumeration),
 //! - [`latency`] — iteration makespan and related latency measures,
 //! - [`bottleneck`] — the critical tokens/channels/actors limiting
 //!   throughput,

@@ -17,7 +17,7 @@ use super::{CycleRatio, CycleRatioGraph};
 /// # Panics
 ///
 /// Panics if the graph has more than 24 nodes (a guard against accidental
-/// exponential blow-up; use [`super::howard`] for real inputs).
+/// exponential blow-up; use [`super::maximum_cycle_ratio`] for real inputs).
 pub fn maximum_cycle_ratio(g: &CycleRatioGraph) -> CycleRatio {
     assert!(
         g.num_nodes() <= 24,
@@ -90,6 +90,7 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdfr_maxplus::{Mp, MpMatrix};
 
     #[test]
     fn finds_all_cycles() {
@@ -123,16 +124,18 @@ mod tests {
                 );
             }
             let oracle = maximum_cycle_ratio(&g);
-            let howard = super::super::howard::maximum_cycle_ratio(&g);
+            let production = super::super::maximum_cycle_ratio(&g);
             let parametric = super::super::parametric::maximum_cycle_ratio(&g);
-            assert_eq!(oracle, howard, "howard disagrees on {g:?}");
+            assert_eq!(oracle, production, "production disagrees on {g:?}");
             assert_eq!(oracle, parametric, "parametric disagrees on {g:?}");
             // Unit-token instances are max-plus precedence graphs: the
-            // flat Karp DP of the eigenvalue path must agree too.
+            // checked Karp DP must agree too.
             if g.edges().iter().all(|e| e.tokens == 1) {
-                let edges = g.edges().iter().map(|e| (e.from, e.to, e.weight));
-                let pg = sdfr_maxplus::precedence::PrecedenceGraph::from_edges(n, edges);
-                let karp = sdfr_maxplus::eigen::maximum_cycle_mean(&pg)
+                let mut a = MpMatrix::neg_inf(n, n);
+                for e in g.edges() {
+                    a.set(e.to, e.from, a.get(e.to, e.from).max(Mp::fin(e.weight)));
+                }
+                let karp = sdfr_maxplus::eigen::eigenvalue_checked(&a)
                     .map_or(CycleRatio::Acyclic, CycleRatio::Finite);
                 assert_eq!(oracle, karp, "karp disagrees on {g:?}");
             }

@@ -1,47 +1,30 @@
-//! Maximum cycle mean / maximum cycle ratio algorithms.
+//! Maximum cycle ratio of HSDF-style graphs.
 //!
 //! The throughput of a homogeneous SDF graph is governed by its *maximum
 //! cycle ratio* (MCR): over all cycles `C`, the maximum of
 //! `Σ_{a ∈ C} T(a) / Σ_{e ∈ C} d(e)` — execution time per token (Dasdan,
-//! Irani & Gupta, DAC'99). This module provides several algorithms with
-//! different trade-offs, usable both as production solvers and as mutual
-//! cross-checks:
+//! Irani & Gupta, DAC'99). [`CycleRatioGraph`] is the instance;
+//! [`maximum_cycle_ratio`] and [`critical_cycle`] solve it with the one
+//! production routine, [`sdfr_maxplus::eigen::maximum_cycle_ratio`]
+//! (Howard's policy iteration in checked integers). Two independent
+//! algorithms stay as test oracles:
 //!
-//! - [`howard`] — Howard's policy iteration for the general cycle-ratio
-//!   problem, exact rational arithmetic,
 //! - [`parametric`] — Burns-style parametric cycle improvement (repeatedly
 //!   extract a cycle that beats the current ratio),
-//! - [`enumerate`] — brute-force simple-cycle enumeration, the test oracle
-//!   for small graphs.
+//! - [`enumerate`] — brute-force simple-cycle enumeration, for small
+//!   graphs.
 
 use sdfr_graph::{SdfError, SdfGraph};
-use sdfr_maxplus::{closure, Rational};
+use sdfr_maxplus::{closure, eigen};
+
+pub use sdfr_maxplus::eigen::CycleRatio;
 
 pub mod enumerate;
-pub mod howard;
 pub mod parametric;
 
-/// The outcome of a maximum cycle ratio computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleRatio {
-    /// The graph has no cycle: no recurrent constraint (for an HSDF graph,
-    /// unbounded throughput).
-    Acyclic,
-    /// The graph has a cycle whose edges carry no tokens: the ratio is
-    /// unbounded (for an HSDF graph, a deadlock).
-    ZeroTokenCycle,
-    /// The maximum cycle ratio.
-    Finite(Rational),
-}
-
-impl CycleRatio {
-    /// The finite ratio, if any.
-    pub fn finite(self) -> Option<Rational> {
-        match self {
-            CycleRatio::Finite(r) => Some(r),
-            _ => None,
-        }
-    }
+/// Howard's policy iteration under its historical path.
+pub mod howard {
+    pub use super::maximum_cycle_ratio;
 }
 
 /// A directed graph with edge weights and token counts, the input of the
@@ -153,59 +136,49 @@ impl CycleRatioGraph {
     }
 
     fn has_cycle_in_subgraph(&self, keep: impl Fn(&Edge) -> bool) -> bool {
-        // Iterative DFS with colors.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let mut color = vec![Color::White; self.n];
-        for start in 0..self.n {
-            if color[start] != Color::White {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            color[start] = Color::Gray;
-            while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-                if *i < self.out[u].len() {
-                    let e = &self.edges[self.out[u][*i]];
-                    *i += 1;
-                    if !keep(e) {
-                        continue;
-                    }
-                    match color[e.to] {
-                        Color::Gray => return true,
-                        Color::White => {
-                            color[e.to] = Color::Gray;
-                            stack.push((e.to, 0));
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[u] = Color::Black;
-                    stack.pop();
-                }
-            }
-        }
-        false
+        let edges = self.edges.iter().filter(|e| keep(e));
+        let edges = edges.map(|e| (e.from, e.to, e.weight, e.tokens));
+        eigen::on_cycles(self.n, edges).iter().any(Option::is_some)
     }
 
     /// The sum of all token counts (bounds the denominator of the MCR).
     pub fn total_tokens(&self) -> u64 {
         self.edges.iter().map(|e| e.tokens).sum()
     }
+
+    /// The edges as `(from, to, weight, tokens)` tuples.
+    fn tuples(&self) -> impl Iterator<Item = (usize, usize, i64, u64)> + '_ {
+        self.edges
+            .iter()
+            .map(|e| (e.from, e.to, e.weight, e.tokens))
+    }
+
+    /// [`maximum_cycle_ratio`] with overflow as an error.
+    ///
+    /// # Errors
+    ///
+    /// [`SdfError::Overflow`] as [`eigen::maximum_cycle_ratio`].
+    pub(crate) fn checked_ratio(&self) -> Result<CycleRatio, SdfError> {
+        eigen::maximum_cycle_ratio(self.n, self.tuples()).map_err(SdfError::cycle_ratio_overflow)
+    }
 }
 
-/// Computes the maximum cycle ratio with the default production algorithm
-/// (Howard's policy iteration).
+/// Computes the maximum cycle ratio with the production routine,
+/// [`eigen::maximum_cycle_ratio`].
+///
+/// # Panics
+///
+/// Panics if an intermediate or the reduced ratio leaves the integer range
+/// (see [`crate::throughput::hsdf_period`] for the error form).
 pub fn maximum_cycle_ratio(g: &CycleRatioGraph) -> CycleRatio {
-    howard::maximum_cycle_ratio(g)
+    g.checked_ratio()
+        .expect("maximum cycle ratio overflows the integer range")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdfr_maxplus::Rational;
 
     #[test]
     fn construction_and_accessors() {
@@ -271,6 +244,43 @@ mod tests {
     }
 
     #[test]
+    fn overflow_is_an_error_in_the_checked_form() {
+        // Fused reduced weights keep (6e18 + 1)/3 exact.
+        let mut g = CycleRatioGraph::new(2);
+        g.add_edge(0, 1, 3_000_000_000_000_000_000, 1);
+        g.add_edge(1, 0, 3_000_000_000_000_000_001, 2);
+        assert_eq!(
+            g.checked_ratio(),
+            Ok(CycleRatio::Finite(Rational::new(
+                6_000_000_000_000_000_001,
+                3
+            )))
+        );
+        assert_eq!(maximum_cycle_ratio(&g), g.checked_ratio().unwrap());
+        assert_eq!(
+            ratio_leaving_i64().checked_ratio(),
+            Err(SdfError::Overflow {
+                what: "maximum cycle ratio"
+            })
+        );
+    }
+
+    /// `x ⇄ y` with times `i64::MAX` and `i64::MAX − 1` over one token
+    /// each: the reduced ratio `(2·i64::MAX − 1)/2` leaves `i64`.
+    fn ratio_leaving_i64() -> CycleRatioGraph {
+        let mut g = CycleRatioGraph::new(2);
+        g.add_edge(0, 1, i64::MAX, 1);
+        g.add_edge(1, 0, i64::MAX - 1, 1);
+        g
+    }
+
+    #[test]
+    #[should_panic(expected = "maximum cycle ratio overflows")]
+    fn public_form_panics_on_overflow() {
+        let _ = maximum_cycle_ratio(&ratio_leaving_i64());
+    }
+
+    #[test]
     fn cycle_ratio_finite_accessor() {
         assert_eq!(
             CycleRatio::Finite(Rational::ONE).finite(),
@@ -283,19 +293,18 @@ mod tests {
 
 /// Extracts one *critical cycle* — a cycle whose ratio equals the maximum
 /// cycle ratio — as a list of edge indices in traversal order, or `None`
-/// if the graph is acyclic, has a zero-token cycle, or its potentials do
-/// not fit in `i64`.
+/// if the graph is acyclic, has a zero-token cycle, or its ratio or
+/// potentials do not fit in `i64`.
 ///
 /// The construction takes the longest-path potentials at λ
 /// ([`closure::potentials`]) and searches the subgraph of *tight* edges,
 /// which necessarily contains a cycle of reduced weight zero.
 pub fn critical_cycle(g: &CycleRatioGraph) -> Option<Vec<usize>> {
-    let CycleRatio::Finite(lambda) = maximum_cycle_ratio(g) else {
+    let Ok(CycleRatio::Finite(lambda)) = g.checked_ratio() else {
         return None;
     };
     let n = g.num_nodes();
-    let edges = g.edges().iter().map(|e| (e.from, e.to, e.weight, e.tokens));
-    let dist = closure::potentials(n, edges, lambda).ok()?;
+    let dist = closure::potentials(n, g.tuples(), lambda).ok()?;
     let (s, num) = (i128::from(lambda.denom()), i128::from(lambda.numer()));
     // Tight subgraph: edges with dist[to] == dist[from] + reduced weight.
     let tight: Vec<Vec<usize>> = {

@@ -93,7 +93,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_howard_on_examples() {
+    fn matches_production_on_examples() {
         let mut g = CycleRatioGraph::new(3);
         g.add_edge(0, 0, 7, 2);
         g.add_edge(0, 1, 1, 0);
@@ -101,7 +101,7 @@ mod tests {
         g.add_edge(2, 0, 3, 1);
         assert_eq!(
             maximum_cycle_ratio(&g),
-            super::super::howard::maximum_cycle_ratio(&g)
+            super::super::maximum_cycle_ratio(&g)
         );
         assert_eq!(
             maximum_cycle_ratio(&g),

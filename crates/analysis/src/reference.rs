@@ -124,15 +124,17 @@ pub fn symbolic_iteration_reference(g: &SdfGraph) -> Result<SymbolicIteration, S
     Ok(SymbolicIteration::from_parts(matrix, tokens, gamma, None))
 }
 
-/// The reference throughput: eigenvalue of the reference matrix via the
-/// checked Karp path only (used by `kernel_bench` as the full pre-flat
-/// baseline pipeline).
+/// The reference throughput: the eigenvalue of the reference matrix.
 ///
 /// # Errors
 ///
-/// See [`symbolic_iteration_reference`].
+/// See [`symbolic_iteration_reference`]; [`SdfError::Overflow`] when the
+/// period does not fit `i64`.
 pub fn reference_period(g: &SdfGraph) -> Result<Option<sdfr_maxplus::Rational>, SdfError> {
-    Ok(symbolic_iteration_reference(g)?.matrix.eigenvalue())
+    symbolic_iteration_reference(g)?
+        .matrix
+        .eigenvalue()
+        .map_err(SdfError::cycle_ratio_overflow)
 }
 
 /// Convenience wrapper: reference iteration of an `Arc`'d graph.

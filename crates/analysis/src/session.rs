@@ -558,7 +558,9 @@ impl AnalysisSession {
             .get_or_init(|| {
                 let sym = self.symbolic()?;
                 self.miss();
-                Ok(sym.matrix.eigenvalue())
+                sym.matrix
+                    .eigenvalue()
+                    .map_err(SdfError::cycle_ratio_overflow)
             })
             .clone()
     }
@@ -637,7 +639,7 @@ impl AnalysisSession {
     ///
     /// HSDF graphs produced by the traditional conversion have `Σγ(a)`
     /// actors — potentially exponential in the original description — and
-    /// schedule synthesis runs Howard's policy iteration and a sparse
+    /// schedule synthesis runs the cycle-ratio policy iteration and a sparse
     /// longest-path relaxation over them. The size cap rejects oversized
     /// inputs before any per-actor state is allocated; the deadline and
     /// cancellation flag are polled before and after the cycle-ratio

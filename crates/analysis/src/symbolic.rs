@@ -123,7 +123,7 @@ impl SymbolicIteration {
 ///
 /// let sym = symbolic_iteration(&g)?;
 /// assert_eq!(sym.num_tokens(), 4);
-/// assert!(sym.matrix.eigenvalue().is_some());
+/// assert!(sym.matrix.eigenvalue()?.is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn symbolic_iteration(g: &SdfGraph) -> Result<SymbolicIteration, SdfError> {
@@ -210,7 +210,7 @@ mod tests {
     fn eigenvalue_matches_simulated_period() {
         let g = fig3();
         let sym = symbolic_iteration(&g).unwrap();
-        let lambda = sym.matrix.eigenvalue().unwrap();
+        let lambda = sym.matrix.eigenvalue().unwrap().unwrap();
         // Simulate many iterations; the long-run completion-time slope must
         // equal the eigenvalue.
         let trace = sdfr_graph::execution::simulate_iterations(&g, 40).unwrap();
@@ -261,7 +261,7 @@ mod tests {
         let sym = symbolic_iteration(&g).unwrap();
         assert_eq!(sym.num_tokens(), 0);
         assert_eq!(sym.matrix.num_rows(), 0);
-        assert_eq!(sym.matrix.eigenvalue(), None);
+        assert_eq!(sym.matrix.eigenvalue(), Ok(None));
     }
 
     #[test]
@@ -298,7 +298,7 @@ mod tests {
         let g = b.build().unwrap();
         let sym = symbolic_iteration(&g).unwrap();
         assert_eq!(sym.num_tokens(), 4);
-        let lambda = sym.matrix.eigenvalue().unwrap();
+        let lambda = sym.matrix.eigenvalue().unwrap().unwrap();
         // One iteration: p fires once, c twice; cross-check via simulation.
         let trace = sdfr_graph::execution::simulate_iterations(&g, 30).unwrap();
         let t0 = trace.iteration_completions[9];

@@ -9,7 +9,8 @@
 //! Three independent routes to the same number are provided and
 //! cross-checked in tests:
 //!
-//! 1. [`throughput`] — spectral: eigenvalue of `A` via Karp's algorithm,
+//! 1. [`throughput`] — spectral: eigenvalue of `A`, the maximum cycle
+//!    ratio of its unit-token precedence graph,
 //! 2. [`throughput_state_space`] — operational: iterate `x(k+1) = A ⊗ x(k)`
 //!    until an exact periodic regime is detected (Ghamarian et al.'s
 //!    state-space method in max-plus form),
@@ -22,7 +23,7 @@ use sdfr_graph::repetition::RepetitionVector;
 use sdfr_graph::{ActorId, SdfError, SdfGraph};
 use sdfr_maxplus::{recurrence, Rational};
 
-use crate::mcm::{self, CycleRatio, CycleRatioGraph};
+use crate::mcm::{CycleRatio, CycleRatioGraph};
 use crate::symbolic::symbolic_iteration;
 
 /// The throughput of a consistent, deadlock-free SDF graph.
@@ -79,7 +80,7 @@ impl ThroughputAnalysis {
 }
 
 /// Computes the throughput of `g` spectrally: symbolic iteration → max-plus
-/// matrix → eigenvalue (maximum cycle mean via Karp per SCC).
+/// matrix → eigenvalue (maximum cycle mean, by policy iteration).
 ///
 /// This form runs uncapped. Under a resource
 /// [`Budget`](sdfr_graph::budget::Budget), use
@@ -227,10 +228,9 @@ pub fn estimate_period_simulated(
 /// # Errors
 ///
 /// - [`SdfError::NotHomogeneous`] if any rate differs from 1,
-/// - [`SdfError::Overflow`] if Howard's exact arithmetic leaves `i64`.
+/// - [`SdfError::Overflow`] if the ratio does not fit [`Rational`].
 pub fn hsdf_period(g: &SdfGraph) -> Result<CycleRatio, SdfError> {
-    let crg = CycleRatioGraph::from_hsdf(g)?;
-    mcm::howard::maximum_cycle_ratio_checked(&crg)
+    CycleRatioGraph::from_hsdf(g)?.checked_ratio()
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! **warm** is the production pipeline: the flat
 //! [`SymbolicEngine`](sdfr_analysis::SymbolicEngine) datapath
 //! (sentinel-encoded `i64`, saturating adds, hoisted overflow checks)
-//! followed by the flat Karp DP. Every repetition cross-checks the two
+//! followed by the production eigenvalue, Howard's policy iteration in
+//! checked integers. Every repetition cross-checks the two
 //! pipelines' matrices and periods for exact equality before its time
 //! counts — the speedup is meaningless if the answers drift.
 //!
@@ -61,7 +62,10 @@ fn main() {
             let t0 = Instant::now();
             let production =
                 symbolic_iteration(&case.graph).expect("Table-1 cases admit a symbolic iteration");
-            let production_period = production.matrix.eigenvalue();
+            let production_period = production
+                .matrix
+                .eigenvalue()
+                .expect("Table-1 periods fit i64");
             warm = warm.min(t0.elapsed());
 
             // Differential check: the kernels must agree exactly, entry
@@ -73,7 +77,7 @@ fn main() {
             );
             assert_eq!(
                 reference_period, production_period,
-                "{}: flat Karp period must equal the checked reference",
+                "{}: policy-iteration period must equal the checked Karp reference",
                 case.name
             );
         }

@@ -611,8 +611,9 @@ fn cmd_analyze_sadf(path: &str, budget: &Budget) -> Result<String, CliError> {
 /// Output that carries exit code `exit`: stdout on success; otherwise the
 /// text travels in the error (stderr) and the process exits with `exit` —
 /// how a failing record, server response or `--stable` batch report
-/// surfaces.
-pub(crate) fn exit_output(exit: i32, text: String) -> Result<String, CliError> {
+/// surfaces. An error is printed with its own line end, so the text's
+/// trailing newline is dropped there.
+pub(crate) fn exit_output(exit: i32, mut text: String) -> Result<String, CliError> {
     let kind = match exit {
         EXIT_OK => return Ok(text),
         EXIT_USAGE => CliErrorKind::Usage,
@@ -621,6 +622,9 @@ pub(crate) fn exit_output(exit: i32, text: String) -> Result<String, CliError> {
         EXIT_INVALID => CliErrorKind::Invalid,
         _ => CliErrorKind::Internal,
     };
+    if text.ends_with('\n') {
+        text.pop();
+    }
     Err(CliError {
         kind,
         message: text,
@@ -987,11 +991,10 @@ fn cmd_csdf(path: &str, budget: &Budget, opts: &[String]) -> Result<String, CliE
         "phase firings per iteration: {}",
         sym.repetition.iteration_length(&g)
     );
-    let thr = sdfr_csdf::throughput_from_symbolic(&sym);
     let _ = writeln!(
         out,
         "iteration period: {}",
-        thr.period
+        sdfr_csdf::period_from_symbolic(&sym)?
             .map_or("none (unbounded)".to_string(), |p| p.to_string())
     );
     let hsdf = sdfr_csdf::hsdf_from_symbolic(&sym, g.name());
@@ -1353,7 +1356,7 @@ mod tests {
             let message = format!("resource budget exhausted: {used}");
             let record = format!(
                 "{{\"schema\":\"sdfr-api/1\",\"workload_kind\":\"csdf\",\"file\":\"{}\",\
-                 \"status\":\"error\",\"error\":\"{message}\",\"exit\":4}}\n",
+                 \"status\":\"error\",\"error\":\"{message}\",\"exit\":4}}",
                 f.display()
             );
             let json = extra[0] == "--json";
@@ -1413,6 +1416,8 @@ mod tests {
         ] {
             assert_eq!(exit_output(exit, String::new()).unwrap_err().kind, kind);
         }
+        // The error's own line end replaces the record's.
+        assert_eq!(exit_output(1, "{}\n".into()).unwrap_err().message, "{}");
     }
 
     #[test]

@@ -257,7 +257,7 @@ pub(crate) fn analyze_unit(
             }
         }
         Ok(Source::Csdf(graph)) => sdfr_csdf::symbolic_iteration_capped(graph, &budget)
-            .map(|sym| {
+            .and_then(|sym| {
                 let hsdf = sdfr_csdf::hsdf_from_symbolic(&sym, graph.name());
                 csdf = Some((
                     sym.repetition.iteration_length(graph),
@@ -267,7 +267,7 @@ pub(crate) fn analyze_unit(
                         hsdf.total_initial_tokens(),
                     ),
                 ));
-                AnalysisOutcome::Exact(sdfr_csdf::throughput_from_symbolic(&sym).period)
+                sdfr_csdf::period_from_symbolic(&sym).map(AnalysisOutcome::Exact)
             })
             .map_err(CliError::from),
     };

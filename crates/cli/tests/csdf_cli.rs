@@ -97,7 +97,7 @@ fn failing_graphs_report_and_record() {
             stderr,
             format!(
                 "{{\"schema\":\"sdfr-api/1\",\"workload_kind\":\"csdf\",\"file\":\"{path}\",\
-                 \"status\":\"error\",\"error\":\"{message}\",\"exit\":1}}\n\n"
+                 \"status\":\"error\",\"error\":\"{message}\",\"exit\":1}}\n"
             )
         );
     }

@@ -1222,6 +1222,30 @@ fn hostile_csdf_bodies_cannot_take_the_server_down() {
     assert_eq!(status, 200, "{stats}");
 }
 
+/// A graph whose Alg. 1 matrix has walk weights beyond `i64` (though its
+/// period fits) is answered as a record, exact or an invalid graph, never
+/// by a panicked handler, and the server keeps serving.
+#[test]
+fn large_cycle_means_are_records_not_panics() {
+    let server = Server::start(&[]);
+    let body = r#"{"schema":"sdfr-api/1","graphs":[{"name":"k5.sdf","content":"graph k5\nactor x 5000000000000000000\nactor y 1\nchannel x x 1 1 3\nchannel x y 1 1 0\nchannel y x 1 1 3\n"}]}"#;
+    let (status, answer) = http(&server.addr, "POST", "/v1/analyze", body);
+    match status {
+        200 => assert!(
+            answer.contains("\"status\":\"exact\",\"period\":\"1666666666666666667\""),
+            "{answer}"
+        ),
+        422 => assert!(
+            answer.contains("\"error\":\"integer overflow while computing ")
+                && answer.contains("\"exit\":1}"),
+            "{answer}"
+        ),
+        _ => panic!("HTTP {status}: {answer}"),
+    }
+    let (status, stats) = http(&server.addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{stats}");
+}
+
 /// A scenario workload whose critical-cycle potentials leave `i64` is
 /// answered as an invalid-graph record (422), not a panicked handler, and
 /// the server keeps serving.

@@ -3,9 +3,11 @@
 //! The paper's Sec. 6 claims the novel conversion "has the same throughput
 //! and latency as the original graph". These helpers check the throughput
 //! claim mechanically for concrete instances, using two *independent*
-//! analysis routes: the original graph's period comes from its max-plus
-//! eigenvalue, the converted HSDF's period from a maximum-cycle-ratio
-//! computation on its actor/channel structure (Howard's algorithm).
+//! analysis routes: the original graph's period comes from the max-plus
+//! eigenvalue of its symbolic iteration, the converted HSDF's period from
+//! the maximum cycle ratio of its actor/channel structure. Both instances
+//! go to the same cycle-ratio routine, whose own oracles are Karp's DP and
+//! cycle enumeration.
 
 use sdfr_analysis::throughput::{hsdf_period, throughput};
 use sdfr_graph::{SdfError, SdfGraph};

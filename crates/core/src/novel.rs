@@ -700,7 +700,7 @@ mod matrix_entry_tests {
         .unwrap();
         let g = hsdf_from_matrix(&m, "m");
         assert!(g.is_homogeneous());
-        assert_eq!(hsdf_period(&g).unwrap().finite(), m.eigenvalue());
+        assert_eq!(hsdf_period(&g).unwrap().finite(), m.eigenvalue().unwrap());
     }
 
     #[test]
@@ -729,7 +729,7 @@ mod matrix_entry_tests {
         .unwrap();
         let g = hsdf_from_matrix(&m, "m");
         assert_eq!(hsdf_period(&g).unwrap().finite(), None);
-        assert_eq!(m.eigenvalue(), None);
+        assert_eq!(m.eigenvalue(), Ok(None));
     }
 
     #[test]

@@ -187,17 +187,39 @@ impl CsdfThroughput {
 ///
 /// # Errors
 ///
-/// See [`symbolic_iteration`].
+/// See [`symbolic_iteration`]; [`SdfError::Overflow`] when the period
+/// does not fit `i64`.
 pub fn throughput(g: &CsdfGraph) -> Result<CsdfThroughput, SdfError> {
-    Ok(throughput_from_symbolic(&symbolic_iteration(g)?))
+    let sym = symbolic_iteration(g)?;
+    Ok(CsdfThroughput {
+        period: period_from_symbolic(&sym)?,
+        repetition: sym.repetition,
+    })
+}
+
+/// The iteration period of an already-computed symbolic iteration: the
+/// eigenvalue of its matrix, or `None` when unbounded.
+///
+/// # Errors
+///
+/// [`SdfError::Overflow`] when the period does not fit `i64`.
+pub fn period_from_symbolic(sym: &CsdfSymbolic) -> Result<Option<Rational>, SdfError> {
+    sym.matrix
+        .eigenvalue()
+        .map_err(SdfError::cycle_ratio_overflow)
 }
 
 /// The throughput analysis from an already-computed symbolic iteration —
 /// lets one [`symbolic_iteration`] feed both the throughput and the HSDF
 /// conversion ([`hsdf_from_symbolic`]).
+///
+/// # Panics
+///
+/// Panics when the period does not fit `i64` ([`throughput`] returns the
+/// error instead).
 pub fn throughput_from_symbolic(sym: &CsdfSymbolic) -> CsdfThroughput {
     CsdfThroughput {
-        period: sym.matrix.eigenvalue(),
+        period: period_from_symbolic(sym).expect("the iteration period fits i64"),
         repetition: sym.repetition.clone(),
     }
 }
@@ -336,7 +358,7 @@ mod tests {
         // 4 credits + 2 serialization tokens.
         assert_eq!(sym.matrix.num_rows(), 6);
         assert_eq!(sym.tokens.len(), 6);
-        assert!(sym.matrix.eigenvalue().is_some());
+        assert!(sym.matrix.eigenvalue().unwrap().is_some());
     }
 
     #[test]

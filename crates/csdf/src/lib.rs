@@ -51,7 +51,8 @@ mod analysis;
 mod graph;
 
 pub use analysis::{
-    hsdf_from_symbolic, repetition_vector, symbolic_iteration, symbolic_iteration_capped,
-    throughput, throughput_from_symbolic, to_hsdf, CsdfRepetition, CsdfSymbolic, CsdfThroughput,
+    hsdf_from_symbolic, period_from_symbolic, repetition_vector, symbolic_iteration,
+    symbolic_iteration_capped, throughput, throughput_from_symbolic, to_hsdf, CsdfRepetition,
+    CsdfSymbolic, CsdfThroughput,
 };
 pub use graph::{CsdfActorId, CsdfBuilder, CsdfChannelId, CsdfGraph};

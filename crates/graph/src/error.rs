@@ -99,6 +99,18 @@ pub enum SdfError {
     },
 }
 
+impl SdfError {
+    /// The error of a maximum cycle ratio (or max-plus eigenvalue) that
+    /// leaves the integer range: [`sdfr_maxplus::MpError::Overflow`], the
+    /// one way `sdfr_maxplus::eigen::maximum_cycle_ratio` fails, and the
+    /// one way the eigenvalue of a square matrix does.
+    pub fn cycle_ratio_overflow(_: sdfr_maxplus::MpError) -> Self {
+        SdfError::Overflow {
+            what: "maximum cycle ratio",
+        }
+    }
+}
+
 impl fmt::Display for SdfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -213,7 +213,7 @@ pub fn eigenmode(a: &MpMatrix) -> Result<Option<Eigenmode>, MpError> {
             cols: a.num_cols(),
         });
     }
-    let Some(lambda) = a.eigenvalue() else {
+    let Some(lambda) = a.eigenvalue()? else {
         return Ok(None);
     };
     let n = a.num_rows();
@@ -269,23 +269,12 @@ pub fn eigenmode(a: &MpMatrix) -> Result<Option<Eigenmode>, MpError> {
 pub fn critical_nodes(a: &MpMatrix, lambda: Rational) -> Result<Vec<usize>, MpError> {
     let pg = PrecedenceGraph::of_matrix(a)?;
     let n = pg.num_nodes();
-    let edges = || (0..n).flat_map(|u| pg.successors(u).iter().map(move |&(v, w)| (u, v, w)));
-    let d = potentials(n, edges().map(|(u, v, w)| (u, v, w, 1)), lambda)?;
+    let edges = || (0..n).flat_map(|u| pg.successors(u).iter().map(move |&(v, w)| (u, v, w, 1)));
+    let d = potentials(n, edges(), lambda)?;
     let (s, num) = (i128::from(lambda.denom()), i128::from(lambda.numer()));
-    let tight = PrecedenceGraph::from_edges(
-        n,
-        edges().filter(|&(u, v, w)| i128::from(d[v] - d[u]) == s * i128::from(w) - num),
-    );
-    let mut critical = vec![false; n];
-    for comp in tight.sccs() {
-        let u = comp[0];
-        if comp.len() > 1 || tight.successors(u).iter().any(|&(v, _)| v == u) {
-            for i in comp {
-                critical[i] = true;
-            }
-        }
-    }
-    Ok((0..n).filter(|&i| critical[i]).collect())
+    let tight = edges().filter(|&(u, v, w, _)| i128::from(d[v] - d[u]) == s * i128::from(w) - num);
+    let on_cycles = crate::eigen::on_cycles(n, tight);
+    Ok((0..n).filter(|&i| on_cycles[i].is_some()).collect())
 }
 
 #[cfg(test)]

@@ -1,22 +1,54 @@
-//! Max-plus eigenvalue computation via Karp's maximum cycle mean algorithm.
+//! The maximum cycle ratio and the max-plus eigenvalue.
 //!
-//! For an irreducible max-plus matrix the eigenvalue is the maximum cycle
-//! mean of its precedence graph (Baccelli et al., Thm. 3.23). For a reducible
-//! matrix, the asymptotic growth rate of `A^k ⊗ x` with finite `x` is the
-//! maximum cycle mean over *all* strongly connected components, which is what
-//! self-timed SDF throughput needs: the slowest recurrent dependency
-//! dominates. [`eigenvalue`] therefore runs Karp's algorithm per SCC and
-//! returns the maximum.
+//! [`maximum_cycle_ratio`] is the one cycle-ratio routine: over all cycles
+//! `C` of a digraph whose edges carry a weight and a token count, the
+//! maximum of `Σ_C weight / Σ_C tokens` (Dasdan, Irani & Gupta, DAC'99).
+//! It runs Howard's policy iteration in checked `i128` integers and
+//! returns [`MpError::Overflow`] instead of panicking.
+//!
+//! The max-plus eigenvalue is the unit-token case. For an irreducible
+//! matrix it is the maximum cycle mean of the precedence graph (Baccelli
+//! et al., Thm. 3.23). For a reducible matrix, the growth rate of
+//! `A^k ⊗ x` with finite `x` is the maximum over all components, which is
+//! what self-timed SDF throughput needs: the slowest recurrent dependency
+//! dominates. [`eigenvalue`] therefore hands the matrix's edges, one token
+//! each, to [`maximum_cycle_ratio`]. [`eigenvalue_checked`], Karp's
+//! algorithm on checked [`Mp`] arithmetic, is kept as the oracle.
 
 use crate::precedence::PrecedenceGraph;
-use crate::{Mp, MpMatrix, Rational, Time};
+use crate::rational::gcd128;
+use crate::{Mp, MpError, MpMatrix, Rational, Time};
 
-/// The max-plus eigenvalue of a square matrix: the maximum cycle mean of its
-/// precedence graph, or `None` if the precedence graph has no cycle.
+/// The outcome of a maximum cycle ratio computation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CycleRatio {
+    /// The graph has no cycle: no recurrent constraint (for an HSDF graph,
+    /// unbounded throughput).
+    Acyclic,
+    /// The graph has a cycle whose edges carry no tokens: the ratio is
+    /// unbounded (for an HSDF graph, a deadlock).
+    ZeroTokenCycle,
+    /// The maximum cycle ratio.
+    Finite(Rational),
+}
+
+impl CycleRatio {
+    /// The finite ratio, if any.
+    pub fn finite(self) -> Option<Rational> {
+        match self {
+            CycleRatio::Finite(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// The max-plus eigenvalue of a square matrix: the maximum cycle mean of
+/// its precedence graph, or `None` if the precedence graph has no cycle.
 ///
-/// Returns `None` (rather than an error) for a rectangular matrix-free case:
-/// the function is also exposed as [`MpMatrix::eigenvalue`]. A non-square
-/// matrix yields `None`.
+/// # Errors
+///
+/// - [`MpError::NotSquare`] for rectangular input,
+/// - [`MpError::Overflow`] as [`maximum_cycle_ratio`].
 ///
 /// # Example
 ///
@@ -27,35 +59,315 @@ use crate::{Mp, MpMatrix, Rational, Time};
 ///     vec![Mp::NEG_INF, Mp::fin(3)],
 ///     vec![Mp::fin(5), Mp::NEG_INF],
 /// ])?;
-/// assert_eq!(eigen::eigenvalue(&a), Some(Rational::new(4, 1)));
+/// assert_eq!(eigen::eigenvalue(&a)?, Some(Rational::new(4, 1)));
 /// # Ok::<(), sdfr_maxplus::MpError>(())
 /// ```
-pub fn eigenvalue(a: &MpMatrix) -> Option<Rational> {
-    let g = a.precedence_graph().ok()?;
-    maximum_cycle_mean(&g)
+pub fn eigenvalue(a: &MpMatrix) -> Result<Option<Rational>, MpError> {
+    if !a.is_square() {
+        return Err(MpError::NotSquare {
+            rows: a.num_rows(),
+            cols: a.num_cols(),
+        });
+    }
+    let n = a.num_rows();
+    // The precedence edge j → k carries A[k][j] and one token.
+    let edges =
+        (0..n).flat_map(|k| (0..n).filter_map(move |j| Some((j, k, a.get(k, j).finite()?, 1))));
+    Ok(maximum_cycle_ratio(n, edges)?.finite())
 }
 
-/// The maximum cycle mean of a weighted digraph, or `None` if acyclic.
+/// One edge `(from, to, weight, tokens)`.
+type Edge = (usize, usize, Time, u64);
+
+/// The maximum cycle ratio of a digraph on nodes `0..n`: over all cycles,
+/// the maximum of the summed `weight` over the summed `tokens`, for the
+/// same `(from, to, weight, tokens)` edges as [`closure::potentials`].
 ///
-/// Runs Karp's O(V·E) algorithm independently on every strongly connected
-/// component and returns the maximum over components that contain a cycle.
-pub fn maximum_cycle_mean(g: &PrecedenceGraph) -> Option<Rational> {
-    let mut best: Option<Rational> = None;
-    for scc in g.sccs() {
-        if let Some(mcm) = karp_on_scc(g, &scc) {
-            best = Some(match best {
-                Some(b) if b >= mcm => b,
-                _ => mcm,
-            });
+/// Zero-token cycles are screened first, and the graph is trimmed to the
+/// edges inside its cyclic strongly connected components. Howard's policy
+/// iteration then keeps one edge per node. Every node holds the reduced
+/// ratio `num / s` of the policy cycle it reaches and a potential scaled
+/// by `s`, and an edge offers its source `s·weight − num·tokens + V[to]`,
+/// all in checked `i128`. Ratios improve first and potentials only once
+/// no ratio can (Cochet-Terrasson et al., 1998); each policy cycle is
+/// anchored at potential 0 on its smallest node. A cycle kept from the
+/// previous policy then keeps its potentials, and a new one raises its
+/// ratio, so no value ever decreases and no policy repeats: the iteration
+/// ends.
+///
+/// [`closure::potentials`]: crate::closure::potentials
+///
+/// # Errors
+///
+/// [`MpError::Overflow`] if an `i128` intermediate overflows or the
+/// reduced ratio does not fit [`Rational`].
+///
+/// # Panics
+///
+/// Panics if an edge endpoint is `>= n`.
+///
+/// # Example
+///
+/// ```
+/// use sdfr_maxplus::eigen::{maximum_cycle_ratio, CycleRatio};
+/// use sdfr_maxplus::Rational;
+///
+/// // A 2-cycle with weights 4 and 5 over 1 + 2 tokens: ratio 9/3 = 3.
+/// let edges = [(0, 1, 4, 1), (1, 0, 5, 2)];
+/// assert_eq!(
+///     maximum_cycle_ratio(2, edges)?,
+///     CycleRatio::Finite(Rational::from(3))
+/// );
+/// assert_eq!(maximum_cycle_ratio(2, [(0, 1, 4, 1)])?, CycleRatio::Acyclic);
+/// # Ok::<(), sdfr_maxplus::MpError>(())
+/// ```
+pub fn maximum_cycle_ratio(
+    n: usize,
+    edges: impl IntoIterator<Item = Edge>,
+) -> Result<CycleRatio, MpError> {
+    let edges: Vec<Edge> = edges.into_iter().collect();
+    assert!(
+        edges.iter().all(|&(from, to, ..)| from < n && to < n),
+        "edge endpoint out of bounds"
+    );
+    let zero_token = edges.iter().copied().filter(|e| e.3 == 0);
+    if zero_token.clone().next().is_some() && on_cycles(n, zero_token).iter().any(Option::is_some) {
+        return Ok(CycleRatio::ZeroTokenCycle);
+    }
+    let comp = on_cycles(n, edges.iter().copied());
+    let core: Vec<Edge> = edges
+        .into_iter()
+        .filter(|&(from, to, ..)| comp[from].is_some() && comp[from] == comp[to])
+        .collect();
+    if core.is_empty() {
+        return Ok(CycleRatio::Acyclic);
+    }
+    let (num, s) = Howard::new(n, &core).run()?;
+    let fit = |v: i128| i64::try_from(v).map_err(|_| MpError::Overflow);
+    Ok(CycleRatio::Finite(Rational::new(fit(num)?, fit(s)?)))
+}
+
+/// The strongly connected component of every node that lies on a cycle
+/// of `edges` (a component of several nodes, or one node with a
+/// self-loop), `None` for the other nodes. The graph has a cycle iff some
+/// entry is `Some`.
+///
+/// # Panics
+///
+/// Panics if an edge endpoint is `>= n`.
+pub fn on_cycles(n: usize, edges: impl IntoIterator<Item = Edge>) -> Vec<Option<usize>> {
+    let g = PrecedenceGraph::from_edges(n, edges.into_iter().map(|(u, v, w, _)| (u, v, w)));
+    let mut comp = vec![None; n];
+    for (c, scc) in g.sccs().into_iter().enumerate() {
+        let u = scc[0];
+        if scc.len() > 1 || g.successors(u).iter().any(|&(v, _)| v == u) {
+            for v in scc {
+                comp[v] = Some(c);
+            }
         }
     }
-    best
+    comp
 }
 
-/// [`eigenvalue`] forced through the checked `Mp` DP on every component —
-/// the pre-flat reference path, kept callable as the oracle the flat
-/// kernel's differential tests compare against and as the kernel
-/// benchmark's baseline.
+/// A reduced ratio `(num, s)` with `s > 0`.
+type Ratio = (i128, i128);
+
+/// What edge `e` offers its source at ratio `num / s` when its target has
+/// potential `v`: `s·weight − num·tokens + v`.
+fn offer(e: &Edge, (num, s): Ratio, v: i128) -> Result<i128, MpError> {
+    s.checked_mul(e.2.into())
+        .and_then(|w| w.checked_sub(num.checked_mul(e.3.into())?))
+        .and_then(|w| w.checked_add(v))
+        .ok_or(MpError::Overflow)
+}
+
+/// `a > b`.
+fn exceeds((an, ad): Ratio, (bn, bd): Ratio) -> Result<bool, MpError> {
+    match (an.checked_mul(bd), bn.checked_mul(ad)) {
+        (Some(l), Some(r)) => Ok(l > r),
+        _ => Err(MpError::Overflow),
+    }
+}
+
+/// Policy iteration state over a trimmed core: every node with an edge
+/// lies on a cycle, and every cycle has tokens.
+struct Howard {
+    /// The core's edges, grouped by source.
+    edges: Vec<Edge>,
+    /// `out[u]..out[u + 1]` indexes the edges leaving `u`.
+    out: Vec<usize>,
+    /// The nodes with an outgoing edge, ascending.
+    nodes: Vec<usize>,
+    /// Each node's policy edge.
+    policy: Vec<usize>,
+    /// The ratio of the policy cycle each node reaches.
+    ratio: Vec<Ratio>,
+    /// Each node's potential, scaled by its ratio's `s`.
+    pot: Vec<i128>,
+}
+
+impl Howard {
+    fn new(n: usize, core: &[Edge]) -> Self {
+        let mut out = vec![0; n + 1];
+        for e in core {
+            out[e.0 + 1] += 1;
+        }
+        for u in 0..n {
+            out[u + 1] += out[u];
+        }
+        let mut next = out.clone();
+        let mut edges = vec![(0, 0, 0, 0); core.len()];
+        for &e in core {
+            edges[next[e.0]] = e;
+            next[e.0] += 1;
+        }
+        let nodes: Vec<usize> = (0..n).filter(|&u| out[u] < out[u + 1]).collect();
+        // Seed every node with its heaviest edge.
+        let mut policy = vec![0; n];
+        for &u in &nodes {
+            policy[u] = (out[u]..out[u + 1])
+                .max_by_key(|&e| edges[e].2)
+                .expect("core nodes have an outgoing edge");
+        }
+        Howard {
+            edges,
+            out,
+            nodes,
+            policy,
+            ratio: vec![(0, 0); n],
+            pot: vec![0; n],
+        }
+    }
+
+    /// Evaluates and improves until the policy is optimal; returns the
+    /// largest ratio.
+    fn run(mut self) -> Result<Ratio, MpError> {
+        let mut state = vec![0u8; self.out.len() - 1];
+        let mut path = Vec::new();
+        loop {
+            self.evaluate(&mut state, &mut path)?;
+            if !self.improve()? {
+                break;
+            }
+        }
+        let mut best = self.ratio[self.nodes[0]];
+        for &u in &self.nodes[1..] {
+            if exceeds(self.ratio[u], best)? {
+                best = self.ratio[u];
+            }
+        }
+        Ok(best)
+    }
+
+    /// Computes every node's ratio and potential under the current policy.
+    fn evaluate(&mut self, state: &mut [u8], path: &mut Vec<usize>) -> Result<(), MpError> {
+        const NEW: u8 = 0;
+        const ON_PATH: u8 = 1;
+        const DONE: u8 = 2;
+        state.fill(NEW);
+        for i in 0..self.nodes.len() {
+            let mut u = self.nodes[i];
+            path.clear();
+            while state[u] == NEW {
+                state[u] = ON_PATH;
+                path.push(u);
+                u = self.edges[self.policy[u]].1;
+            }
+            // The walk either closed a new policy cycle or ran into nodes
+            // resolved before; resolve the rest back to front.
+            let mut tail = path.len();
+            if state[u] == ON_PATH {
+                tail = path.iter().position(|&x| x == u).expect("u is on the path");
+                self.resolve_cycle(&path[tail..])?;
+            }
+            for &x in path[..tail].iter().rev() {
+                let e = &self.edges[self.policy[x]];
+                self.ratio[x] = self.ratio[e.1];
+                self.pot[x] = offer(e, self.ratio[x], self.pot[e.1])?;
+            }
+            for &x in path.iter() {
+                state[x] = DONE;
+            }
+        }
+        Ok(())
+    }
+
+    /// Sets the ratio and potentials of one policy cycle.
+    fn resolve_cycle(&mut self, cycle: &[usize]) -> Result<(), MpError> {
+        let (mut w, mut t) = (0i128, 0i128);
+        for &u in cycle {
+            let e = &self.edges[self.policy[u]];
+            w += i128::from(e.2);
+            t += i128::from(e.3);
+        }
+        debug_assert!(t > 0, "zero-token cycles are screened out");
+        let g = gcd128(w, t);
+        let r = (w / g, t / g);
+        // Anchor the cycle at its smallest node, whichever node the walk
+        // entered it by, so that a cycle kept from the previous policy
+        // keeps its potentials.
+        let k = cycle.len();
+        let a = (0..k)
+            .min_by_key(|&i| cycle[i])
+            .expect("a cycle has a node");
+        self.ratio[cycle[a]] = r;
+        self.pot[cycle[a]] = 0;
+        for j in 1..k {
+            let u = cycle[(a + k - j) % k];
+            let e = &self.edges[self.policy[u]];
+            self.ratio[u] = r;
+            self.pot[u] = offer(e, r, self.pot[e.1])?;
+        }
+        Ok(())
+    }
+
+    /// Moves every node with an edge into a larger ratio to the edge into
+    /// the largest. Only when no ratio can improve, moves every node with
+    /// a better offer at its own ratio to the best offer. Returns whether
+    /// the policy changed.
+    fn improve(&mut self) -> Result<bool, MpError> {
+        let mut changed = false;
+        for &u in &self.nodes {
+            let mut best = self.ratio[u];
+            for e in self.out[u]..self.out[u + 1] {
+                let r = self.ratio[self.edges[e].1];
+                if r != best && exceeds(r, best)? {
+                    best = r;
+                    self.policy[u] = e;
+                    changed = true;
+                }
+            }
+        }
+        if changed {
+            return Ok(true);
+        }
+        for &u in &self.nodes {
+            let r = self.ratio[u];
+            let mut best = self.pot[u];
+            for e in self.out[u]..self.out[u + 1] {
+                let to = self.edges[e].1;
+                if self.ratio[to] == r {
+                    let o = offer(&self.edges[e], r, self.pot[to])?;
+                    if o > best {
+                        best = o;
+                        self.policy[u] = e;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        Ok(changed)
+    }
+}
+
+/// [`eigenvalue`] by Karp's algorithm on checked [`Mp`] arithmetic, one
+/// strongly connected component at a time: the independent oracle that the
+/// differential tests hold [`maximum_cycle_ratio`] to, and the cold side of
+/// the kernel benchmark.
+///
+/// # Panics
+///
+/// Panics if a walk weight of the Karp table leaves `i64`.
 pub fn eigenvalue_checked(a: &MpMatrix) -> Option<Rational> {
     let g = a.precedence_graph().ok()?;
     let mut best: Option<Rational> = None;
@@ -93,87 +405,9 @@ fn scc_edges(g: &PrecedenceGraph, scc: &[usize]) -> Option<Vec<Vec<(usize, Time)
     has_edge.then_some(edges)
 }
 
-/// Karp's algorithm restricted to one strongly connected component.
-///
-/// Returns `None` when the component has no internal edge (a trivial SCC).
-fn karp_on_scc(g: &PrecedenceGraph, scc: &[usize]) -> Option<Rational> {
-    let n = scc.len();
-    let edges = scc_edges(g, scc)?;
-    // In a strongly connected component with >= 1 edge there is a cycle
-    // through every node; Karp from source 0 is valid.
-    //
-    // When every walk weight provably fits (|d[k][v]| <= n·W and the final
-    // differences |d[n][v] - d[k][v]| <= 2n·W stay within i64), run the DP
-    // on the sentinel-encoded flat layout with plain adds; otherwise fall
-    // back to the checked Mp path, which keeps the historical
-    // panic-on-overflow behavior.
-    let w_bound = edges
-        .iter()
-        .flatten()
-        .map(|&(_, wt)| wt.unsigned_abs())
-        .max()
-        .unwrap_or(0);
-    if w_bound <= i64::MAX as u64 / (2 * n as u64) {
-        karp_flat(n, &edges)
-    } else {
-        karp_checked(n, &edges)
-    }
-}
-
-/// The Karp DP on the branch-free sentinel encoding ([`crate::flat`]): one
-/// contiguous `(n+1)×n` row-major `i64` buffer, plain adds (the caller has
-/// bounded every intermediate), `i64::MIN` for "unreached".
-fn karp_flat(n: usize, edges: &[Vec<(usize, Time)>]) -> Option<Rational> {
-    use crate::flat::NEG_INF;
-    let mut d = vec![NEG_INF; (n + 1) * n];
-    d[0] = 0;
-    for k in 1..=n {
-        let (prev, rest) = d.split_at_mut(k * n);
-        let prev = &prev[(k - 1) * n..];
-        let cur = &mut rest[..n];
-        for (u, out) in edges.iter().enumerate() {
-            let du = prev[u];
-            if du == NEG_INF {
-                continue;
-            }
-            for &(v, w) in out {
-                let cand = du + w;
-                if cand > cur[v] {
-                    cur[v] = cand;
-                }
-            }
-        }
-    }
-    // MCM = max_v min_{0<=k<n} (d[n][v] - d[k][v]) / (n - k).
-    let mut best: Option<Rational> = None;
-    for v in 0..n {
-        let dn = d[n * n + v];
-        if dn == NEG_INF {
-            continue;
-        }
-        let mut vmin: Option<Rational> = None;
-        for k in 0..n {
-            let dk = d[k * n + v];
-            if dk != NEG_INF {
-                let mean = Rational::new(dn - dk, (n - k) as i64);
-                vmin = Some(match vmin {
-                    Some(m) if m <= mean => m,
-                    _ => mean,
-                });
-            }
-        }
-        if let Some(m) = vmin {
-            best = Some(match best {
-                Some(b) if b >= m => b,
-                _ => m,
-            });
-        }
-    }
-    best
-}
-
-/// The original checked-`Mp` Karp DP, kept as the overflow-detecting
-/// fallback and as the reference oracle for the flat path.
+/// Karp's DP on one strongly connected component: `d[k][v]` is the heaviest
+/// `k`-edge walk from node 0 to `v`, and the maximum cycle mean is
+/// `max_v min_k (d[n][v] − d[k][v]) / (n − k)`.
 fn karp_checked(n: usize, edges: &[Vec<(usize, Time)>]) -> Option<Rational> {
     // d[k][v] = max weight of a k-edge walk from source to v.
     let mut d = vec![vec![Mp::NegInf; n]; n + 1];
@@ -222,7 +456,6 @@ fn karp_checked(n: usize, edges: &[Vec<(usize, Time)>]) -> Option<Rational> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mp;
 
     fn mat(entries: &[&[Option<i64>]]) -> MpMatrix {
         MpMatrix::from_rows(
@@ -234,24 +467,45 @@ mod tests {
         .unwrap()
     }
 
+    fn mean(a: &MpMatrix) -> Option<Rational> {
+        eigenvalue(a).unwrap()
+    }
+
+    fn ratio(n: usize, edges: &[Edge]) -> Result<CycleRatio, MpError> {
+        maximum_cycle_ratio(n, edges.iter().copied())
+    }
+
+    fn finite(num: i64, den: i64) -> Result<CycleRatio, MpError> {
+        Ok(CycleRatio::Finite(Rational::new(num, den)))
+    }
+
     #[test]
     fn self_loop_eigenvalue() {
         let a = mat(&[&[Some(7)]]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(7, 1)));
+        assert_eq!(mean(&a), Some(Rational::new(7, 1)));
     }
 
     #[test]
     fn acyclic_matrix_has_no_eigenvalue() {
         // Strictly lower-triangular: no cycles.
         let a = mat(&[&[None, None], &[Some(3), None]]);
-        assert_eq!(eigenvalue(&a), None);
+        assert_eq!(mean(&a), None);
+        assert_eq!(mean(&MpMatrix::neg_inf(0, 0)), None);
+    }
+
+    #[test]
+    fn rectangular_matrix_is_an_error() {
+        assert!(matches!(
+            eigenvalue(&MpMatrix::neg_inf(2, 3)),
+            Err(MpError::NotSquare { rows: 2, cols: 3 })
+        ));
     }
 
     #[test]
     fn two_cycle_mean() {
         // cycle 0 -> 1 -> 0 with weights 5 and 3: mean 4.
         let a = mat(&[&[None, Some(3)], &[Some(5), None]]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(4, 1)));
+        assert_eq!(mean(&a), Some(Rational::new(4, 1)));
     }
 
     #[test]
@@ -262,14 +516,14 @@ mod tests {
             &[None, Some(4), None],
             &[Some(5), None, None],
         ]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(9, 2)));
+        assert_eq!(mean(&a), Some(Rational::new(9, 2)));
     }
 
     #[test]
     fn reducible_matrix_takes_max_over_sccs() {
         // SCC {0} with self-loop 2; SCC {1} with self-loop 6; edge 0 -> 1.
         let a = mat(&[&[Some(2), None], &[Some(10), Some(6)]]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(6, 1)));
+        assert_eq!(mean(&a), Some(Rational::new(6, 1)));
     }
 
     #[test]
@@ -280,29 +534,27 @@ mod tests {
             &[Some(3), None, None],
             &[None, Some(2), None],
         ]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(7, 3)));
+        assert_eq!(mean(&a), Some(Rational::new(7, 3)));
     }
 
     #[test]
     fn negative_weights_supported() {
         let a = mat(&[&[None, Some(-3)], &[Some(-5), None]]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(-4, 1)));
+        assert_eq!(mean(&a), Some(Rational::new(-4, 1)));
     }
 
     #[test]
-    fn huge_weights_take_the_checked_fallback() {
-        // Weights too large for the flat DP's 2n·W bound: the checked path
-        // still computes the exact mean (no overflow on this instance).
+    fn huge_weights_are_exact_or_an_overflow() {
+        // Weights beyond the i64::MAX / 2n range: the mean is exact.
         let w = i64::MAX / 3;
         let a = mat(&[&[None, Some(w)], &[Some(w - 4), None]]);
-        assert_eq!(eigenvalue(&a), Some(Rational::new(w - 2, 1)));
-        // And right at the boundary the two paths agree.
-        let b = mat(&[&[Some(5), Some(2)], &[Some(1), Some(3)]]);
-        assert_eq!(
-            karp_flat(2, &[vec![(0, 5), (1, 1)], vec![(0, 2), (1, 3)]]),
-            karp_checked(2, &[vec![(0, 5), (1, 1)], vec![(0, 2), (1, 3)]]),
-        );
-        assert_eq!(eigenvalue(&b), Some(Rational::new(5, 1)));
+        assert_eq!(mean(&a), Some(Rational::new(w - 2, 1)));
+        let b = mat(&[&[None, Some(i64::MAX)], &[Some(i64::MAX), None]]);
+        assert_eq!(mean(&b), Some(Rational::from(i64::MAX)));
+        assert_eq!(eigenvalue_checked(&a), mean(&a));
+        // (2·MAX − 1) / 2 does not reduce, so it cannot be a `Rational`.
+        let c = mat(&[&[None, Some(i64::MAX)], &[Some(i64::MAX - 1), None]]);
+        assert_eq!(eigenvalue(&c), Err(MpError::Overflow));
     }
 
     #[test]
@@ -315,7 +567,7 @@ mod tests {
             mat(&[&[None, None], &[Some(3), None]]),
         ];
         for a in &cases {
-            assert_eq!(eigenvalue(a), eigenvalue_checked(a));
+            assert_eq!(mean(a), eigenvalue_checked(a));
         }
     }
 
@@ -333,14 +585,14 @@ mod tests {
             &[None, None, Some(2)],
             &[Some(4), Some(1), None],
         ]);
-        assert_eq!(eigenvalue(&a), eigenvalue(&p));
+        assert_eq!(mean(&a), mean(&p));
     }
 
     #[test]
     fn growth_rate_matches_eigenvalue() {
         // Iterating A^k x grows by the eigenvalue per step asymptotically.
         let a = mat(&[&[Some(2), Some(8)], &[Some(1), Some(3)]]);
-        let lambda = eigenvalue(&a).unwrap();
+        let lambda = mean(&a).unwrap();
         let x0 = crate::MpVector::zeros(2);
         let mut x = x0.clone();
         let steps = 64;
@@ -355,5 +607,112 @@ mod tests {
         // transient is short; allow exact equality over the long horizon by
         // comparing against floor/ceil window).
         assert!((growth - lambda).abs() <= Rational::new(8, steps));
+    }
+
+    #[test]
+    fn multi_token_cycles() {
+        // One cycle, 3 tokens in total: ratio (4 + 5)/3.
+        assert_eq!(ratio(2, &[(0, 1, 4, 1), (1, 0, 5, 2)]), finite(3, 1));
+        // Self-loop ratio 7/2 vs the long cycle's (1 + 2 + 3)/1.
+        let competing = [(0, 0, 7, 2), (0, 1, 1, 0), (1, 2, 2, 0), (2, 0, 3, 1)];
+        assert_eq!(ratio(3, &competing), finite(6, 1));
+        // Disjoint cycles of ratio 2 and 3.
+        let disjoint = [(0, 1, 2, 1), (1, 0, 2, 1), (2, 3, 9, 1), (3, 2, 0, 2)];
+        assert_eq!(ratio(4, &disjoint), finite(3, 1));
+        // Nodes off the cycle do not disturb it.
+        let tail = [(0, 0, 5, 1), (1, 0, 100, 1), (2, 1, 100, 1), (3, 2, 100, 1)];
+        assert_eq!(ratio(4, &tail), finite(5, 1));
+        // The heaviest seed edge from node 0 leads off the cycle.
+        let seed = [(0, 2, 100, 1), (0, 1, 1, 1), (1, 0, 1, 1)];
+        assert_eq!(ratio(3, &seed), finite(1, 1));
+    }
+
+    #[test]
+    fn zero_token_and_acyclic_graphs() {
+        let dead = [(0, 1, 1, 0), (1, 0, 1, 0)];
+        assert_eq!(ratio(2, &dead), Ok(CycleRatio::ZeroTokenCycle));
+        let dead_loop = [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 0)];
+        assert_eq!(ratio(2, &dead_loop), Ok(CycleRatio::ZeroTokenCycle));
+        let chain = [(0, 1, 10, 1), (1, 2, 10, 0)];
+        assert_eq!(ratio(3, &chain), Ok(CycleRatio::Acyclic));
+        assert_eq!(ratio(0, &[]), Ok(CycleRatio::Acyclic));
+    }
+
+    /// Two disjoint cycles of equal ratio 3 (`1 ⇄ 4` and `2 ⇄ 3`), both
+    /// reachable from node 0. With slow edges back to node 0 all five nodes
+    /// share one component, and a policy that anchors each cycle where its
+    /// walk entered it flips node 0 between the two cycles forever.
+    #[test]
+    fn equal_ratio_cycles_converge() {
+        let t = [1, 2, 1, 2, 1];
+        let edges = [
+            (0, 0, 1),
+            (0, 4, 0),
+            (3, 2, 0),
+            (1, 4, 1),
+            (2, 3, 1),
+            (4, 1, 0),
+            (0, 3, 0),
+        ]
+        .map(|(from, to, tokens)| (from, to, t[from], tokens));
+        assert_eq!(ratio(5, &edges), finite(3, 1));
+        let back = [(4, 0, 1, 3), (2, 0, 1, 3)];
+        assert_eq!(ratio(5, &[&edges[..], &back].concat()), finite(3, 1));
+    }
+
+    /// The 3-mode lattice over `mp3 dec. block par.` (one timing variant
+    /// per mode, cyclic FSM with mode-change delays 0, 1 and 2): 9 nodes,
+    /// 15 precedence edges, Karp λ = 96006, with tied cycles.
+    #[test]
+    fn mp3_block_par_lattice_converges() {
+        let edges = [
+            (6, 0, 1502),
+            (6, 1, 97052),
+            (7, 1, 95552),
+            (6, 2, 97052),
+            (8, 2, 95552),
+            (0, 3, 1501),
+            (0, 4, 97506),
+            (1, 4, 96005),
+            (0, 5, 97506),
+            (2, 5, 96005),
+            (3, 6, 1503),
+            (3, 7, 97963),
+            (4, 7, 96461),
+            (3, 8, 97963),
+            (5, 8, 96461),
+        ];
+        let mut a = MpMatrix::neg_inf(9, 9);
+        for &(j, k, w) in &edges {
+            a.set(k, j, Mp::fin(w));
+        }
+        assert_eq!(eigenvalue_checked(&a), Some(Rational::from(96006)));
+        assert_eq!(mean(&a), Some(Rational::from(96006)));
+    }
+
+    #[test]
+    fn offers_are_fused_so_large_ratios_stay_exact() {
+        // x ⇄ y with times 3e18 and 3e18 + 1 over 1 + 2 tokens: λ·2 alone
+        // leaves i64, the fused reduced weights do not.
+        let pair = [
+            (0, 1, 3_000_000_000_000_000_000, 1),
+            (1, 0, 3_000_000_000_000_000_001, 2),
+        ];
+        assert_eq!(ratio(2, &pair), finite(6_000_000_000_000_000_001, 3));
+    }
+
+    #[test]
+    fn extreme_inputs_overflow_instead_of_panicking() {
+        // The ratio 1/(2^64 − 1) has no i64 denominator.
+        assert_eq!(ratio(1, &[(0, 0, 1, u64::MAX)]), Err(MpError::Overflow));
+        // s·weight ≈ 2^64 · 2^63 leaves i128.
+        let huge = [(0, 1, i64::MAX, u64::MAX), (1, 0, i64::MAX - 1, u64::MAX)];
+        assert_eq!(ratio(2, &huge), Err(MpError::Overflow));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bad_endpoints_panic() {
+        let _ = ratio(1, &[(0, 1, 0, 1)]);
     }
 }

@@ -15,7 +15,8 @@
 //! - [`MpVector`] — vectors of semiring elements with normalization,
 //! - [`MpMatrix`] — dense matrices with `⊗` composition and vector application,
 //! - [`precedence`] — the weighted precedence digraph of a matrix,
-//! - [`eigen`] — the max-plus eigenvalue (maximum cycle mean, Karp's algorithm),
+//! - [`eigen`] — the maximum cycle ratio (checked integer policy
+//!   iteration) and, as its unit-token case, the max-plus eigenvalue,
 //! - [`closure`] — sparse longest-path potentials, the critical graph, and
 //!   the dense Kleene star `A*` with eigenvectors,
 //! - [`recurrence`] — periodicity detection for `x(k+1) = A ⊗ x(k)`.
@@ -34,7 +35,7 @@
 //!     vec![Mp::NEG_INF, Mp::fin(3)],
 //!     vec![Mp::fin(5), Mp::fin(4)],
 //! ])?;
-//! let lambda = a.eigenvalue().expect("matrix has a cycle");
+//! let lambda = a.eigenvalue()?.expect("matrix has a cycle");
 //! assert_eq!(lambda, Rational::new(4, 1)); // max((3+5)/2, 4/1) = 4
 //! # Ok::<(), sdfr_maxplus::MpError>(())
 //! ```

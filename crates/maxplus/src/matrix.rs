@@ -308,8 +308,9 @@ impl MpMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`MpError::NotSquare`] if the matrix is not square.
-    pub fn eigenvalue(&self) -> Option<Rational> {
+    /// Returns [`MpError::NotSquare`] if the matrix is not square, and
+    /// [`MpError::Overflow`] as [`eigen::maximum_cycle_ratio`].
+    pub fn eigenvalue(&self) -> Result<Option<Rational>, MpError> {
         eigen::eigenvalue(self)
     }
 }
@@ -570,9 +571,12 @@ mod ops_tests {
     #[test]
     fn shift_moves_eigenvalue() {
         let a = m(vec![vec![2, 8], vec![1, 3]]);
-        let l = a.eigenvalue().unwrap();
+        let l = a.eigenvalue().unwrap().unwrap();
         let shifted = a.shift(5);
-        assert_eq!(shifted.eigenvalue().unwrap(), l + crate::Rational::from(5));
+        assert_eq!(
+            shifted.eigenvalue().unwrap().unwrap(),
+            l + crate::Rational::from(5)
+        );
         // −∞ entries stay −∞.
         let mut b = MpMatrix::neg_inf(1, 1);
         b = b.shift(10);

@@ -263,7 +263,7 @@ impl Neg for Rational {
     }
 }
 
-fn gcd128(mut a: i128, mut b: i128) -> i128 {
+pub(crate) fn gcd128(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
         let t = a % b;
         a = b;

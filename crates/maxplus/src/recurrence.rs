@@ -183,7 +183,7 @@ mod tests {
             mat(&[&[Some(7)]]),
         ];
         for a in cases {
-            assert_eq!(growth_rate(&a, 10_000), a.eigenvalue());
+            assert_eq!(growth_rate(&a, 10_000), a.eigenvalue().unwrap());
         }
     }
 

@@ -134,9 +134,8 @@ proptest! {
         );
     }
 
-    /// The flat Karp DP and the checked Karp DP agree on every matrix whose
-    /// weights stay in the provably-safe range (where the production path
-    /// chooses the flat DP).
+    /// The production eigenvalue (integer policy iteration) and the
+    /// checked Karp DP agree on small random matrices.
     #[test]
     fn flat_eigenvalue_equals_checked(entries in (1usize..=6).prop_flat_map(|n| {
         proptest::collection::vec(
@@ -157,6 +156,6 @@ proptest! {
                 .collect(),
         )
         .expect("square by construction");
-        prop_assert_eq!(eigenvalue(&m), eigenvalue_checked(&m));
+        prop_assert_eq!(eigenvalue(&m).unwrap(), eigenvalue_checked(&m));
     }
 }

@@ -18,8 +18,8 @@
 //! and its weight is the weight of the corresponding product of shifted
 //! scenario matrices — so the lattice's maximum cycle mean is the
 //! worst-case iteration period *per scenario iteration* over all infinite
-//! scenario sequences the FSM admits. `crates/maxplus` (Howard/Karp)
-//! solves it directly.
+//! scenario sequences the FSM admits. The maximum-cycle-ratio routine of
+//! `crates/maxplus` solves it directly.
 //!
 //! Cyclo-static dataflow is the degenerate case: a CSDF graph whose
 //! phases individually balance is a cyclic FSM over its per-phase SDF
@@ -386,7 +386,9 @@ fn analyze_lattice(
             }
         }
     }
-    let lambda = lattice.eigenvalue();
+    let lambda = lattice
+        .eigenvalue()
+        .map_err(|e| SadfError::Graph(SdfError::cycle_ratio_overflow(e)))?;
     let cycle = match lambda {
         Some(lambda) => winning_cycle(w, &lattice, lambda, n)?,
         None => Vec::new(),
