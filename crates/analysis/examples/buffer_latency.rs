@@ -4,12 +4,12 @@
 //!
 //! Run with `cargo run --example buffer_latency`.
 
-use sdf_reductions::analysis::buffer::{
+use sdfr_analysis::buffer::{
     minimize_capacities, self_timed_buffer_bounds, throughput_buffer_tradeoff,
 };
-use sdf_reductions::analysis::latency::iteration_makespan;
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::graph::SdfGraph;
+use sdfr_analysis::latency::iteration_makespan;
+use sdfr_analysis::throughput::throughput;
+use sdfr_graph::SdfGraph;
 
 /// A three-stage pipeline where the first and last stage are coupled by a
 /// credit loop of `credits` tokens (a bounded output FIFO).

@@ -15,8 +15,9 @@
 //! `pool_bench` — write `BENCH_*.json` artifacts in the shared
 //! [`report`] schema and exit non-zero below their speedup bars.
 //!
-//! The Criterion benches in `benches/` measure conversion and analysis
-//! run-times and the ablations called out in `DESIGN.md`.
+//! `paper_bench` writes `BENCH_paper.json` in the same schema, with no
+//! bar: the conversion and analysis run-times behind the paper's Sec. 7
+//! claim and the ablations called out in `DESIGN.md`.
 
 pub mod report;
 

@@ -5,11 +5,11 @@
 //! output directory is given, the graphs are written there as SDF3-style
 //! XML and Graphviz DOT files.
 
-use sdf_reductions::analysis::throughput::{hsdf_period, throughput};
-use sdf_reductions::benchmarks::table1::samplerate;
-use sdf_reductions::core::{novel, traditional};
-use sdf_reductions::graph::dot;
-use sdf_reductions::io::xml;
+use sdfr_analysis::throughput::{hsdf_period, throughput};
+use sdfr_benchmarks::table1::samplerate;
+use sdfr_core::{novel, traditional};
+use sdfr_graph::dot;
+use sdfr_io::xml;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = samplerate();

@@ -5,12 +5,12 @@
 //!
 //! Run with `cargo run --release --example prefetch_abstraction`.
 
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::benchmarks::regular::prefetch_model;
-use sdf_reductions::core::abstract_graph;
-use sdf_reductions::core::auto::auto_abstraction;
-use sdf_reductions::core::conservativity::{conservative_period_bound, verify_abstraction};
-use sdf_reductions::graph::dot;
+use sdfr_analysis::throughput::throughput;
+use sdfr_benchmarks::regular::prefetch_model;
+use sdfr_core::abstract_graph;
+use sdfr_core::auto::auto_abstraction;
+use sdfr_core::conservativity::{conservative_period_bound, verify_abstraction};
+use sdfr_graph::dot;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let blocks = 1584;

@@ -6,12 +6,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdf_reductions::analysis::bottleneck::bottleneck;
-use sdf_reductions::analysis::buffer::{minimize_capacities, period_with_capacities};
-use sdf_reductions::analysis::static_schedule::rate_optimal_schedule;
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::benchmarks::random::{random_live_sdf, RandomSdfConfig};
-use sdf_reductions::core::novel;
+use sdfr_analysis::bottleneck::bottleneck;
+use sdfr_analysis::buffer::{minimize_capacities, period_with_capacities};
+use sdfr_analysis::static_schedule::rate_optimal_schedule;
+use sdfr_analysis::throughput::throughput;
+use sdfr_benchmarks::random::{random_live_sdf, RandomSdfConfig};
+use sdfr_core::novel;
 
 fn config() -> RandomSdfConfig {
     RandomSdfConfig {

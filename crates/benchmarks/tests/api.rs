@@ -1,16 +1,16 @@
-//! Smoke test of the public facade: a complete user workflow touching
-//! every crate through `sdf_reductions::*` paths.
+//! Smoke test of the public API: a complete user workflow through the
+//! graph, analysis, core, io and maxplus crates.
 
-use sdf_reductions::analysis::buffer::self_timed_buffer_bounds;
-use sdf_reductions::analysis::latency::iteration_makespan;
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::core::auto::auto_abstraction;
-use sdf_reductions::core::conservativity::conservative_period_bound;
-use sdf_reductions::core::{abstract_graph, novel, traditional};
-use sdf_reductions::graph::repetition::repetition_vector;
-use sdf_reductions::graph::{dot, SdfGraph};
-use sdf_reductions::io::text;
-use sdf_reductions::maxplus::Rational;
+use sdfr_analysis::buffer::self_timed_buffer_bounds;
+use sdfr_analysis::latency::iteration_makespan;
+use sdfr_analysis::throughput::throughput;
+use sdfr_core::auto::auto_abstraction;
+use sdfr_core::conservativity::conservative_period_bound;
+use sdfr_core::{abstract_graph, novel, traditional};
+use sdfr_graph::repetition::repetition_vector;
+use sdfr_graph::{dot, SdfGraph};
+use sdfr_io::text;
+use sdfr_maxplus::Rational;
 
 #[test]
 fn full_workflow() {

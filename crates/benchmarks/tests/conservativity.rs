@@ -5,13 +5,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::benchmarks::random::{random_live_hsdf, RandomSdfConfig};
-use sdf_reductions::core::auto::auto_abstraction;
-use sdf_reductions::core::conservativity::{conservative_period_bound, verify_abstraction};
-use sdf_reductions::core::unfold::unfold;
-use sdf_reductions::core::CoreError;
-use sdf_reductions::maxplus::Rational;
+use sdfr_analysis::throughput::throughput;
+use sdfr_benchmarks::random::{random_live_hsdf, RandomSdfConfig};
+use sdfr_core::auto::auto_abstraction;
+use sdfr_core::conservativity::{conservative_period_bound, verify_abstraction};
+use sdfr_core::unfold::unfold;
+use sdfr_core::CoreError;
+use sdfr_maxplus::Rational;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -83,7 +83,7 @@ proptest! {
     /// abstraction) still verifies and still bounds.
     #[test]
     fn coarsest_abstraction_is_conservative(seed in any::<u64>()) {
-        use sdf_reductions::core::auto::auto_abstraction_with;
+        use sdfr_core::auto::auto_abstraction_with;
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = RandomSdfConfig {
             min_actors: 2,

@@ -6,11 +6,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdf_reductions::analysis::throughput::{
-    estimate_period_simulated, throughput, throughput_state_space,
-};
-use sdf_reductions::benchmarks::random::{random_live_sdf, RandomSdfConfig};
-use sdf_reductions::core::equivalence::validate_conversions;
+use sdfr_analysis::throughput::{estimate_period_simulated, throughput, throughput_state_space};
+use sdfr_benchmarks::random::{random_live_sdf, RandomSdfConfig};
+use sdfr_core::equivalence::validate_conversions;
 
 fn config() -> RandomSdfConfig {
     RandomSdfConfig {

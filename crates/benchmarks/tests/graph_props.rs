@@ -6,10 +6,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdf_reductions::benchmarks::random::{random_live_sdf, RandomSdfConfig};
-use sdf_reductions::graph::execution::{simulate, SimulationOptions};
-use sdf_reductions::graph::repetition::repetition_vector;
-use sdf_reductions::graph::schedule::{is_valid_schedule, sequential_schedule};
+use sdfr_benchmarks::random::{random_live_sdf, RandomSdfConfig};
+use sdfr_graph::execution::{simulate, SimulationOptions};
+use sdfr_graph::repetition::repetition_vector;
+use sdfr_graph::schedule::{is_valid_schedule, sequential_schedule};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -75,7 +75,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_live_sdf(&mut rng, &RandomSdfConfig::default());
         // Rebuild with scaled times.
-        let mut b = sdf_reductions::graph::SdfGraph::builder("scaled");
+        let mut b = sdfr_graph::SdfGraph::builder("scaled");
         let ids: Vec<_> = g
             .actors()
             .map(|(_, a)| b.actor(a.name().to_string(), a.execution_time() * k))

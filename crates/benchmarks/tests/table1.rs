@@ -8,9 +8,9 @@
 //!    inversion,
 //! 3. both conversions preserve the iteration period.
 
-use sdf_reductions::analysis::throughput::{hsdf_period, throughput};
-use sdf_reductions::benchmarks::table1;
-use sdf_reductions::core::{novel, traditional};
+use sdfr_analysis::throughput::{hsdf_period, throughput};
+use sdfr_benchmarks::table1;
+use sdfr_core::{novel, traditional};
 
 #[test]
 fn traditional_counts_match_paper_exactly() {

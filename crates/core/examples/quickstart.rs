@@ -3,11 +3,11 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use sdf_reductions::analysis::latency::iteration_makespan;
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::core::{novel, traditional};
-use sdf_reductions::graph::repetition::repetition_vector;
-use sdf_reductions::graph::SdfGraph;
+use sdfr_analysis::latency::iteration_makespan;
+use sdfr_analysis::throughput::throughput;
+use sdfr_core::{novel, traditional};
+use sdfr_graph::repetition::repetition_vector;
+use sdfr_graph::SdfGraph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An MP3-ish decoder: a frame parser feeding a block pipeline, with a

@@ -20,6 +20,25 @@
 //! ([`equivalence`]), and a-priori conversion selection ([`recommend`],
 //! the paper's closing Sec. 7 remark).
 //!
+//! # Quickstart
+//!
+//! ```
+//! use sdfr_analysis::throughput;
+//! use sdfr_graph::SdfGraph;
+//!
+//! // Two actors exchanging tokens: a produces 2 per firing, b consumes 3.
+//! let mut b = SdfGraph::builder("producer-consumer");
+//! let a = b.actor("a", 2);
+//! let c = b.actor("b", 3);
+//! b.channel(a, c, 2, 3, 0)?;
+//! b.channel(c, a, 3, 2, 6)?; // feedback with 6 initial tokens
+//! let g = b.build()?;
+//!
+//! let thr = throughput(&g)?;
+//! println!("iteration period: {:?}", thr.period());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
 //! # Example: reproduce a Table-1 style comparison
 //!
 //! ```

@@ -3,8 +3,8 @@
 //!
 //! Run with `cargo run --example csdf_pipeline`.
 
-use sdf_reductions::analysis::throughput::hsdf_period;
-use sdf_reductions::csdf::{self, CsdfGraph};
+use sdfr_analysis::throughput::hsdf_period;
+use sdfr_csdf::CsdfGraph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deinterleaving receiver: the radio delivers a burst of 2 samples,
@@ -26,10 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = b.build()?;
     println!("{g}");
 
-    let rep = csdf::repetition_vector(&g)?;
+    let rep = sdfr_csdf::repetition_vector(&g)?;
     println!("phase firings per iteration: {}", rep.iteration_length(&g));
 
-    let thr = csdf::throughput(&g)?;
+    let thr = sdfr_csdf::throughput(&g)?;
     let period = thr.period.expect("credit loop bounds the receiver");
     println!("iteration period: {period}");
     println!(
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's compact conversion applies unchanged: the max-plus
     // matrix of one phase-accurate iteration realises as a small HSDF.
-    let hsdf = csdf::to_hsdf(&g)?;
+    let hsdf = sdfr_csdf::to_hsdf(&g)?;
     println!(
         "compact HSDF: {} actors, {} channels, {} tokens",
         hsdf.num_actors(),

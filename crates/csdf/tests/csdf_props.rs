@@ -7,12 +7,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdf_reductions::analysis::throughput::hsdf_period;
-use sdf_reductions::benchmarks::random::{random_live_csdf, RandomSdfConfig};
-use sdf_reductions::csdf;
-use sdf_reductions::graph::budget::Budget;
-use sdf_reductions::graph::SdfError;
-use sdf_reductions::io::csdf as csdf_io;
+use sdfr_analysis::throughput::hsdf_period;
+use sdfr_benchmarks::random::{random_live_csdf, RandomSdfConfig};
+use sdfr_graph::budget::Budget;
+use sdfr_graph::SdfError;
+use sdfr_io::csdf as csdf_io;
 
 fn config() -> RandomSdfConfig {
     RandomSdfConfig {
@@ -32,8 +31,8 @@ proptest! {
     fn csdf_hsdf_conversion_preserves_period(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_live_csdf(&mut rng, &config());
-        let thr = csdf::throughput(&g).unwrap();
-        let hsdf = csdf::to_hsdf(&g).unwrap();
+        let thr = sdfr_csdf::throughput(&g).unwrap();
+        let hsdf = sdfr_csdf::to_hsdf(&g).unwrap();
         prop_assert!(hsdf.is_homogeneous());
         prop_assert_eq!(hsdf_period(&hsdf).unwrap().finite(), thr.period, "{}", g);
     }
@@ -53,11 +52,11 @@ proptest! {
     fn csdf_schedule_covers_iteration(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_live_csdf(&mut rng, &config());
-        let rep = csdf::repetition_vector(&g).unwrap();
+        let rep = sdfr_csdf::repetition_vector(&g).unwrap();
         let len = rep.iteration_length(&g);
         let cap = |n| Budget::unlimited().with_max_firings(n);
-        prop_assert!(csdf::symbolic_iteration_capped(&g, &cap(len)).is_ok(), "{}", g);
-        let short = csdf::symbolic_iteration_capped(&g, &cap(len - 1));
+        prop_assert!(sdfr_csdf::symbolic_iteration_capped(&g, &cap(len)).is_ok(), "{}", g);
+        let short = sdfr_csdf::symbolic_iteration_capped(&g, &cap(len - 1));
         prop_assert!(matches!(short, Err(SdfError::Exhausted { .. })), "{}", g);
     }
 }

@@ -5,9 +5,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdf_reductions::benchmarks::random::{random_live_sdf, RandomSdfConfig};
-use sdf_reductions::benchmarks::{regular, table1};
-use sdf_reductions::io::{text, xml};
+use sdfr_benchmarks::random::{random_live_sdf, RandomSdfConfig};
+use sdfr_benchmarks::{regular, table1};
+use sdfr_io::{text, xml};
 
 #[test]
 fn benchmarks_round_trip_in_both_formats() {

@@ -5,12 +5,12 @@
 //!
 //! Run with `cargo run --example mpsoc_mapping`.
 
-use sdf_reductions::analysis::bottleneck::bottleneck;
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::core::recommend::{best_conversion, predict_sizes};
-use sdf_reductions::graph::{ChannelId, SdfGraph};
-use sdf_reductions::platform::noc::{insert_connection, ConnectionLatency};
-use sdf_reductions::platform::{apply_mapping, apply_tdm, Mapping, TdmSlot};
+use sdfr_analysis::bottleneck::bottleneck;
+use sdfr_analysis::throughput::throughput;
+use sdfr_core::recommend::{best_conversion, predict_sizes};
+use sdfr_graph::{ChannelId, SdfGraph};
+use sdfr_platform::noc::{insert_connection, ConnectionLatency};
+use sdfr_platform::{apply_mapping, apply_tdm, Mapping, TdmSlot};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The application: a four-stage video pipeline with a frame buffer.

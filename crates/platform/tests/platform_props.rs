@@ -6,15 +6,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sdf_reductions::analysis::throughput::throughput;
-use sdf_reductions::benchmarks::random::{random_live_hsdf, random_live_sdf, RandomSdfConfig};
-use sdf_reductions::graph::{ChannelId, SdfError};
-use sdf_reductions::platform::noc::{insert_connection, ConnectionLatency};
-use sdf_reductions::platform::{apply_mapping, apply_tdm, Mapping, TdmSlot};
+use sdfr_analysis::throughput::throughput;
+use sdfr_benchmarks::random::{random_live_hsdf, random_live_sdf, RandomSdfConfig};
+use sdfr_graph::{ChannelId, SdfError};
+use sdfr_platform::noc::{insert_connection, ConnectionLatency};
+use sdfr_platform::{apply_mapping, apply_tdm, Mapping, TdmSlot};
 
-fn period_of(
-    g: &sdf_reductions::graph::SdfGraph,
-) -> Result<Option<sdf_reductions::maxplus::Rational>, SdfError> {
+fn period_of(g: &sdfr_graph::SdfGraph) -> Result<Option<sdfr_maxplus::Rational>, SdfError> {
     Ok(throughput(g)?.period())
 }
 
@@ -58,8 +56,8 @@ proptest! {
         let n = g.num_actors();
         let i = rng.gen_range(0..n - 1);
         let j = rng.gen_range(i + 1..n);
-        let a = sdf_reductions::graph::ActorId::from_index(i);
-        let b = sdf_reductions::graph::ActorId::from_index(j);
+        let a = sdfr_graph::ActorId::from_index(i);
+        let b = sdfr_graph::ActorId::from_index(j);
         let mut m = Mapping::new();
         m.processor([a, b]);
         let mapped = apply_mapping(&g, &m).unwrap();
