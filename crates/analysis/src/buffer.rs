@@ -30,18 +30,18 @@ const SEEDER_RING: usize = 8;
 /// archived symbolic execution ([`EngineArchive::fork`]) instead of running
 /// Algorithm 1 cold. Determinacy keeps every seeded probe byte-identical
 /// to a cold one — including budget accounting — so search results never
-/// depend on seeding or on the steal schedule of parallel probes.
+/// depend on seeding or on the claim order of parallel probes.
 ///
-/// The ring is **sharded per pool worker** (plus one fallback shard for
-/// off-pool threads, including the scope-driving one): parallel probes
+/// The ring is **sharded per fan-out helper** (plus one fallback shard for
+/// the fan-out's caller and every other thread): parallel probes
 /// previously serialized on a single `Mutex`, turning the seeder into the
 /// sweep's contention hot spot, and cross-thread seeds were mostly stale
-/// anyway — a worker forks its *own* previous probe far more often than a
+/// anyway — a thread forks its *own* previous probe far more often than a
 /// sibling's. Because seeding only changes wall-clock time, never answers,
 /// sharding preserves byte-identical results on every thread count.
 #[derive(Debug)]
 struct FamilySeeder {
-    /// `threads - 1` worker shards plus the trailing fallback shard.
+    /// `threads - 1` helper shards plus the trailing fallback shard.
     shards: Vec<Mutex<SeederRing>>,
 }
 
@@ -50,17 +50,18 @@ type SeederRing = Vec<(Arc<SdfGraph>, Arc<EngineArchive>)>;
 
 impl Default for FamilySeeder {
     fn default() -> Self {
-        let workers = sdfr_pool::current().threads().saturating_sub(1);
         FamilySeeder {
-            shards: (0..=workers).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..sdfr_pool::threads())
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
         }
     }
 }
 
 impl FamilySeeder {
-    /// The calling thread's shard: its worker slot on pool workers (when
-    /// the index fits — a foreign pool's worker may carry a larger index),
-    /// the trailing fallback shard everywhere else.
+    /// The calling thread's shard: its helper slot on fan-out helpers (when
+    /// the index fits — a wider enclosing fan-out's helper may carry a
+    /// larger index), the trailing fallback shard everywhere else.
     fn shard(&self) -> &Mutex<SeederRing> {
         let fallback = self.shards.len() - 1;
         let i = sdfr_pool::worker_index()
@@ -414,8 +415,8 @@ fn probe_feasible(
 /// tokens to the reverse channel, which can only shorten cycles), which the
 /// search exploits in two phases:
 ///
-/// 1. **Parallel scouting** (one task per channel on the shared
-///    [work-stealing pool](sdfr_pool::current)):
+/// 1. **Parallel scouting** (one [fan-out](sdfr_pool::map_chunked) item
+///    per channel):
 ///    each channel's minimal feasible capacity against the *un-shrunk*
 ///    starting allocation is found by an independent binary search. Because
 ///    neighbours only ever shrink afterwards, these minima are valid lower
@@ -445,25 +446,24 @@ pub(crate) fn minimize_capacities_with_target(
     // the sequential probes. One task covers a chunk of channels — a scout
     // is a whole binary search, roughly 8 probes worth of firings.
     let scout_chunk = probe_chunk(start.len(), probe_cost(g).saturating_mul(8));
-    let scouted =
-        parallel_indexed_chunked(start.len(), scout_chunk, |i| -> Result<u64, SdfError> {
-            let ch = &channels[i];
-            if ch.is_self_loop() {
-                return Ok(start[i]);
+    let scouted = sdfr_pool::map_chunked(start.len(), scout_chunk, |i| -> Result<u64, SdfError> {
+        let ch = &channels[i];
+        if ch.is_self_loop() {
+            return Ok(start[i]);
+        }
+        let (mut lo, mut hi) = (channel_floor(ch), start[i]);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mut probe = start.clone();
+            probe[i] = mid;
+            if probe_feasible(g, &probe, budget, target, &seeder)? {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
-            let (mut lo, mut hi) = (channel_floor(ch), start[i]);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let mut probe = start.clone();
-                probe[i] = mid;
-                if probe_feasible(g, &probe, budget, target, &seeder)? {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            Ok(hi)
-        });
+        }
+        Ok(hi)
+    });
     // Deterministic error propagation: the lowest-index failure wins.
     let mut lower = Vec::with_capacity(scouted.len());
     for s in scouted {
@@ -522,37 +522,20 @@ fn channel_floor(ch: &sdfr_graph::Channel) -> u64 {
     }
 }
 
-/// Evaluates `f(0..n)` on the [current](sdfr_pool::current) work-stealing
-/// pool, one task per contiguous run of `chunk` probes, results flattened
-/// in ascending index order — the exact output of the serial loop, with
-/// task-dispatch overhead amortized over the chunk. The capacity probes of
-/// the design-space searches are independent, so fan-out changes
-/// wall-clock time but not results. On pool worker threads this schedules
-/// onto the *same* pool (nested fan-outs cooperate rather than
-/// oversubscribe), and a 1-thread pool degenerates to a sequential loop on
-/// the calling thread.
-fn parallel_indexed_chunked<R: Send>(
-    n: usize,
-    chunk: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    sdfr_pool::current().map_indexed_chunked(n, chunk, f)
-}
-
-/// How many estimated firings one fan-out task should amortize its
-/// dispatch overhead over.
+/// How many estimated firings one fan-out chunk should amortize its
+/// claim over.
 const PROBE_CHUNK_COST: u64 = 4096;
 
 /// Chunk size for fanning `n` capacity probes out, from the same cost
 /// model the [`Budget`] charges: a probe runs about one symbolic iteration
-/// of the bounded graph, `Σγ` firings. Cheap probes batch up until a task
+/// of the bounded graph, `Σγ` firings. Cheap probes batch up until a chunk
 /// carries roughly [`PROBE_CHUNK_COST`] firings; expensive probes stay one
-/// per task (their own cost already amortizes dispatch). The pool's
-/// load-balancing bound caps the batch so every executor still gets a few
-/// tasks to steal.
+/// per chunk (their own cost already amortizes the claim).
+/// [`sdfr_pool::chunk_size`] caps the batch so every thread still gets a
+/// few chunks to claim.
 fn probe_chunk(n: usize, cost_per_probe: u64) -> usize {
     let by_cost = usize::try_from(PROBE_CHUNK_COST / cost_per_probe.max(1)).unwrap_or(usize::MAX);
-    by_cost.clamp(1, sdfr_pool::current().chunk_size(n))
+    by_cost.clamp(1, sdfr_pool::chunk_size(n))
 }
 
 /// The per-probe cost estimate for capacity searches over `g`: the firings
@@ -697,8 +680,8 @@ mod capacity_tests {
             let _ = s.throughput().unwrap();
             seeder.offer(v, s.engine_archive().unwrap());
         }
-        // The test thread is off-pool, so every offer above landed in the
-        // fallback shard; the per-shard ring stays bounded.
+        // The test thread is no fan-out helper, so every offer above landed
+        // in the fallback shard; the per-shard ring stays bounded.
         assert_eq!(
             seeder.shard().lock().unwrap().len(),
             SEEDER_RING,
@@ -808,7 +791,7 @@ fn period_at(g: &SdfGraph, caps: &[u64], seeder: &FamilySeeder) -> Option<sdfr_m
 /// The greedy sweep behind [`throughput_buffer_tradeoff`], against an
 /// already-known target period. Each step's candidate probes (+1 on every
 /// growable channel) are independent full analyses of a capacity-variant
-/// graph; `parallel` fans them out over the shared work-stealing pool, and
+/// graph; `parallel` fans them out with [`sdfr_pool::map_chunked`], and
 /// the subsequent fold picks the winner in ascending channel order with a
 /// strict comparison — the same candidate the sequential loop picks.
 pub(crate) fn throughput_buffer_tradeoff_with_target(
@@ -864,7 +847,7 @@ pub(crate) fn throughput_buffer_tradeoff_with_target(
         };
         let periods: Vec<Option<sdfr_maxplus::Rational>> = if parallel {
             let chunk = probe_chunk(candidates.len(), cost);
-            parallel_indexed_chunked(candidates.len(), chunk, |k| probe_period(candidates[k]))
+            sdfr_pool::map_chunked(candidates.len(), chunk, |k| probe_period(candidates[k]))
         } else {
             candidates.iter().map(|&i| probe_period(i)).collect()
         };

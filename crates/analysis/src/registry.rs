@@ -421,24 +421,24 @@ impl SessionRegistry {
         true
     }
 
-    /// Fills the registry for a batch of graphs concurrently on the
-    /// [current](sdfr_pool::current) work-stealing pool, warming each
+    /// Fills the registry for a batch of graphs concurrently, one
+    /// [fan-out](sdfr_pool::map_chunked) item per graph, warming each
     /// session's headline throughput artifact, and returns the sessions in
     /// input order together with how each lookup was served.
     ///
     /// Duplicated content resolves to one shared session: exactly one
-    /// worker pays the symbolic iteration (the session's `OnceLock` slots
+    /// thread pays the symbolic iteration (the session's `OnceLock` slots
     /// serialize the fill), the rest hit. Results are written to
     /// index-addressed slots, so the returned order — and therefore any
-    /// fold over it — is independent of the steal schedule. Throughput
-    /// errors are cached in the session like any other artifact and
-    /// surface again when the caller queries it.
+    /// fold over it — is independent of which thread ran which graph.
+    /// Throughput errors are cached in the session like any other artifact
+    /// and surface again when the caller queries it.
     pub fn prefetch(
         &self,
         graphs: &[Arc<SdfGraph>],
         budget: &Budget,
     ) -> Vec<(Arc<AnalysisSession>, Lookup)> {
-        sdfr_pool::current().map_indexed(graphs.len(), |i| {
+        sdfr_pool::map_chunked(graphs.len(), 1, |i| {
             let (session, lookup) = self.lookup(&graphs[i], budget);
             let _ = session.throughput();
             (session, lookup)
@@ -754,11 +754,11 @@ mod tests {
 
     #[test]
     fn prefetch_fills_concurrently_and_matches_sequential_lookups() {
-        let pool = sdfr_pool::Pool::new(4);
         let registry = SessionRegistry::new();
         // 12 graphs over 3 distinct contents, interleaved.
         let graphs: Vec<Arc<SdfGraph>> = (0..12i64).map(|i| cycle("g", 2, 3 + (i % 3))).collect();
-        let results = pool.install(|| registry.prefetch(&graphs, &Budget::unlimited()));
+        let results =
+            sdfr_pool::with_threads(4, || registry.prefetch(&graphs, &Budget::unlimited()));
         assert_eq!(results.len(), graphs.len());
         // Every distinct content paid its symbolic iteration exactly once,
         // and equal content shares one session object.

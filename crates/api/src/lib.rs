@@ -973,7 +973,8 @@ pub fn registry_stats_json(stats: &RegistryStats) -> String {
 }
 
 /// The shared [`sdfr_pool::PoolStats`] serialization (a complete JSON
-/// object), embedded by the server's `/v1/stats`.
+/// object) of the process-wide fan-out counters, embedded by the server's
+/// `/v1/stats`.
 pub fn pool_stats_json(stats: &sdfr_pool::PoolStats) -> String {
     format!(
         "{{\"threads\":{},\"spawned\":{},\"stolen\":{},\"executed\":{}}}",

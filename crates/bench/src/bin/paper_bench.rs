@@ -6,8 +6,8 @@
 //! - `conversion/<graph>` — per Table-1 graph, cold is the traditional
 //!   SDF→HSDF expansion, warm the novel conversion (Alg. 1, the Sec. 7
 //!   "a few milliseconds" claim); `no_elision_ns` times
-//!   `novel::convert_without_elision`, which skips the analysis session
-//!   as well as the elision;
+//!   `novel::convert_without_elision`, the same conversion without the
+//!   mux/demux elision;
 //! - `abstraction/n=<n>` — analysing the Fig. 1(a) graph, cold the
 //!   original, warm its abstract graph (Sec. 4); `derive_ns` times deriving
 //!   the abstraction. `pruning/n=<n>` then analyses the abstract graph

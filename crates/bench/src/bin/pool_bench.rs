@@ -1,15 +1,14 @@
-//! Measures how the work-stealing pool scales the workspace's parallel
-//! fan-outs at 1/2/4/8 worker threads:
+//! Measures how the scoped fan-out scales the workspace's parallel
+//! fan-outs at 1/2/4/8 threads:
 //!
 //! - **pareto**: the throughput/buffer trade-off sweep over the Table-1
 //!   cases whose repetition-vector sum keeps a capacity probe cheap — the
-//!   probe fan-out in `sdfr_analysis::buffer` routed through a pool of
-//!   each width via [`sdfr_pool::Pool::install`];
-//! - **batch-pareto**: a nested workload — one outer task per (case,
-//!   duplicate) unit on the same pool, each warming a shared
+//!   probe fan-out in `sdfr_analysis::buffer` at each width set with
+//!   [`sdfr_pool::with_threads`];
+//! - **batch-pareto**: a nested workload — one outer fan-out item per
+//!   (case, duplicate) unit, each warming a shared
 //!   [`sdfr_analysis::SessionRegistry`] session and then running its own
-//!   Pareto sweep, so inner probe tasks interleave with outer units
-//!   exactly as `sdfr batch` drives them.
+//!   Pareto sweep, whose probe fan-out runs inline on the unit's thread.
 //!
 //! Every width's curves are asserted byte-identical to the serial
 //! reference (`throughput_buffer_tradeoff_serial`) before its time is
@@ -18,7 +17,7 @@
 //! Usage: `cargo run --release -p sdfr-bench --bin pool_bench`
 //!
 //! Writes `BENCH_pool.json` (shared `sdfr-bench/1` schema, baseline =
-//! 1-thread pool) and prints a table. Exits non-zero when the 4-thread
+//! 1 thread) and prints a table. Exits non-zero when the 4-thread
 //! speedup of any workload falls below `SDFR_POOL_MIN_SPEEDUP` (default
 //! 2.0) — skipped with a notice when the host has fewer than 4 cores,
 //! where the bar is physically unreachable.
@@ -33,7 +32,6 @@ use sdfr_analysis::SessionRegistry;
 use sdfr_bench::report::{threshold_from_env, BenchCase, BenchReport, SkippedCase};
 use sdfr_graph::repetition::repetition_vector;
 use sdfr_graph::SdfGraph;
-use sdfr_pool::Pool;
 
 /// Repetition-sum ceiling above which a case is skipped (matches
 /// `session_bench`: each probe simulates the variant graph).
@@ -44,7 +42,7 @@ const PARETO_ITERATIONS: u64 = 4;
 const DUPLICATES: usize = 4;
 /// Timing repetitions; the minimum is reported.
 const REPS: u32 = 3;
-/// Pool widths measured; the first is the baseline.
+/// Fan-out widths measured; the first is the baseline.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn min_of(reps: u32, mut f: impl FnMut() -> Duration) -> Duration {
@@ -55,8 +53,8 @@ fn min_of(reps: u32, mut f: impl FnMut() -> Duration) -> Duration {
 /// correctness oracle for every pooled run).
 type SweepCase = (&'static str, Arc<SdfGraph>, Vec<ParetoPoint>);
 
-/// One named workload: a full suite of sweeps over the cases on one pool.
-type Workload = (&'static str, fn(&Pool, &[SweepCase]) -> Duration);
+/// One named workload: a full suite of sweeps over the cases.
+type Workload = (&'static str, fn(&[SweepCase]) -> Duration);
 
 /// The Table-1 cases cheap enough to sweep — plus a named, reasoned skip
 /// record for every case the gamma filter drops.
@@ -84,46 +82,39 @@ fn sweep_cases() -> (Vec<SweepCase>, Vec<SkippedCase>) {
     (cases, skipped)
 }
 
-/// One full suite of Pareto sweeps on a pool of the given width.
-fn pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
+/// One full suite of Pareto sweeps at the calling thread's width.
+fn pareto_suite(cases: &[SweepCase]) -> Duration {
     let t0 = Instant::now();
     for (name, graph, serial) in cases {
-        let curve = pool
-            .install(|| throughput_buffer_tradeoff(graph, PARETO_ITERATIONS))
+        let curve = throughput_buffer_tradeoff(graph, PARETO_ITERATIONS)
             .expect("benchmark cases admit a sweep");
         assert_eq!(
             &curve, serial,
-            "{name}: pooled sweep must be byte-identical to serial"
+            "{name}: parallel sweep must be byte-identical to serial"
         );
     }
     t0.elapsed()
 }
 
-/// The nested workload: `DUPLICATES` outer units per case fan out as pool
-/// tasks, each warming a shared registry session and running its own
-/// Pareto sweep on the *same* pool (inner probes interleave with outer
-/// units via work-stealing, as under `sdfr batch`).
-fn batch_pareto_suite(pool: &Pool, cases: &[SweepCase]) -> Duration {
+/// The nested workload: `DUPLICATES` outer units per case fan out, each
+/// warming a shared registry session and running its own Pareto sweep,
+/// whose probe fan-out runs inline on the unit's thread.
+fn batch_pareto_suite(cases: &[SweepCase]) -> Duration {
     let registry = SessionRegistry::new();
     let units: Vec<&SweepCase> = cases
         .iter()
         .flat_map(|c| std::iter::repeat_n(c, DUPLICATES))
         .collect();
     let t0 = Instant::now();
-    pool.scope(|s| {
-        for &(name, graph, serial) in &units {
-            let registry = &registry;
-            s.spawn(move |_| {
-                let session = registry.session(graph);
-                let _ = session.throughput().expect("cases are analysable");
-                let curve =
-                    throughput_buffer_tradeoff(graph, PARETO_ITERATIONS).expect("cases sweep");
-                assert_eq!(
-                    &curve, serial,
-                    "{name}: nested pooled sweep must be byte-identical to serial"
-                );
-            });
-        }
+    sdfr_pool::map_chunked(units.len(), 1, |i| {
+        let (name, graph, serial) = units[i];
+        let session = registry.session(graph);
+        let _ = session.throughput().expect("cases are analysable");
+        let curve = throughput_buffer_tradeoff(graph, PARETO_ITERATIONS).expect("cases sweep");
+        assert_eq!(
+            &curve, serial,
+            "{name}: nested parallel sweep must be byte-identical to serial"
+        );
     });
     let elapsed = t0.elapsed();
     let stats = registry.stats();
@@ -149,7 +140,7 @@ fn main() {
         skipped,
     };
     println!(
-        "Work-stealing pool scaling ({} Table-1 cases, {} skipped; times in ms, min of {REPS} reps)\n",
+        "Scoped fan-out scaling ({} Table-1 cases, {} skipped; times in ms, min of {REPS} reps)\n",
         cases.len(),
         report.skipped.len(),
     );
@@ -163,8 +154,7 @@ fn main() {
     for (name, suite) in workloads {
         let mut baseline = Duration::ZERO;
         for width in WIDTHS {
-            let pool = Pool::new(width);
-            let time = min_of(REPS, || suite(&pool, &cases));
+            let time = sdfr_pool::with_threads(width, || min_of(REPS, || suite(&cases)));
             if width == 1 {
                 baseline = time;
             }

@@ -16,20 +16,17 @@
 //!
 //! # Ordering
 //!
-//! By default, units fan out as one task each over a dedicated
-//! [work-stealing pool](sdfr_pool::Pool) and lines are emitted in
-//! *completion* order. The pool is shared with the per-unit analyses (each
-//! task body sees it via [`sdfr_pool::current`]), so any nested fan-out —
-//! capacity probes, Pareto sweeps — cooperates with the batch workers
-//! instead of oversubscribing the machine. `--stable` switches to
-//! sequential in-index-order processing, which makes the full output —
-//! including per-unit cache attribution (which duplicate is the miss and
-//! which are hits) — deterministic. Use it for scripting and golden tests;
+//! By default, units [fan out](sdfr_pool::map_chunked) over `--threads`
+//! threads and lines are emitted in *completion* order. `--stable`
+//! switches to sequential in-index-order processing, which makes the full
+//! output — including per-unit cache attribution (which duplicate is the
+//! miss and which are hits) — deterministic. Use it for scripting and golden tests;
 //! the parallel path produces the same analysis results (the registry
 //! serves every duplicate from one session either way), only line order and
-//! hit/miss attribution vary. A one-thread pool (`--threads 1` or
-//! `SDFR_THREADS=1`) executes tasks caller-driven in submission order, so
-//! its streamed output is byte-identical to `--stable` — CI diffs the two.
+//! hit/miss attribution vary. With one thread (`--threads 1` or
+//! `SDFR_THREADS=1`) the fan-out runs the units on the calling thread in
+//! index order, so its streamed output is byte-identical to `--stable` —
+//! CI diffs the two.
 //!
 //! Worker-count precedence: `--threads T` beats the `SDFR_THREADS`
 //! environment variable, which beats available parallelism. Zero or
@@ -44,8 +41,6 @@
 //! every unit's code is surfaced in its own record (`"exit"`, so consumers
 //! never re-derive it from `"status"`), and the summary's `"exits"` object
 //! counts units per code.
-
-use std::sync::Mutex;
 
 use sdfr_analysis::registry::{RegistryConfig, SessionRegistry};
 use sdfr_api::BatchSummary;
@@ -202,9 +197,9 @@ pub fn parse_batch_args(args: &[String]) -> Result<BatchOptions, CliError> {
     })
 }
 
-/// Runs a batch: fans units out over the registry-backed worker pool (or
-/// sequentially under `--stable`) and calls `emit` with each JSON line as
-/// it lands. The returned report repeats all lines plus the summary.
+/// Runs a batch: fans units out through one shared registry (sequentially
+/// under `--stable`) and calls `emit` with each JSON line as it lands. The
+/// returned report repeats all lines plus the summary.
 pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchReport {
     let units: Vec<Unit> = opts
         .files
@@ -221,9 +216,6 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
         .collect();
 
     let registry = SessionRegistry::with_config(opts.registry);
-    let mut results: Vec<Option<(String, AnalyzedUnit)>> = Vec::with_capacity(units.len());
-    results.resize_with(units.len(), || None);
-
     let analyze_one = |unit: &Unit| -> (String, AnalyzedUnit) {
         // Each file's kind follows the name rule, so `.sadf` workloads mix
         // into flat batches with no new flags.
@@ -242,60 +234,31 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
         (analyzed.to_json_line(), analyzed)
     };
 
-    if opts.stable {
-        for unit in &units {
-            let r = analyze_one(unit);
+    // `--stable` is the one-thread fan-out: every unit in index order on
+    // this thread. Units are chunked by the tier/budget cost estimate:
+    // ladders of cheap low-cap tiers batch into one chunk (which also walks
+    // a file's consecutive tiers on one thread, feeding the registry's
+    // incremental near-hit path), while uncapped units stay one per chunk.
+    // A chunk emits its units in ascending index order, so with one thread
+    // the stream is byte-identical to `--stable` whatever the chunk size.
+    let threads = match opts.threads {
+        _ if opts.stable => 1,
+        0 => sdfr_pool::default_threads(),
+        t => t,
+    };
+    let results: Vec<(String, AnalyzedUnit)> = sdfr_pool::with_threads(threads, || {
+        sdfr_pool::map_chunked(units.len(), unit_chunk(&units, &opts.budget), |i| {
+            let r = analyze_one(&units[i]);
             emit(&r.0);
-            results[unit.index] = Some(r);
-        }
-    } else {
-        let threads = if opts.threads > 0 {
-            opts.threads
-        } else {
-            sdfr_pool::default_threads()
-        }
-        .clamp(1, units.len().max(1));
-        // A dedicated pool honors the requested width exactly. Each unit is
-        // one task; the task wrapper installs the pool as the thread's
-        // current one, so nested per-unit fan-outs (capacity probes, Pareto
-        // sweeps) are stolen by idle batch workers instead of spawning a
-        // second layer of threads. With one thread the scope caller drains
-        // the queue in submission order, making the streamed lines — and
-        // the hit/miss attribution — identical to `--stable`.
-        let pool = sdfr_pool::Pool::new(threads);
-        // Units are chunked by the tier/budget cost estimate: ladders of
-        // cheap low-cap tiers batch into one task (which also walks a
-        // file's consecutive tiers on one worker, feeding the registry's
-        // incremental near-hit path), while uncapped units stay one per
-        // task. A chunk emits its units in ascending index order, so with
-        // one thread the stream remains byte-identical to `--stable`
-        // whatever the chunk size.
-        let chunk = unit_chunk(&units, &opts.budget, &pool);
-        let slots = Mutex::new(&mut results);
-        pool.scope(|s| {
-            for chunk_units in units.chunks(chunk) {
-                let analyze_one = &analyze_one;
-                let slots = &slots;
-                s.spawn(move |_| {
-                    for unit in chunk_units {
-                        let r = analyze_one(unit);
-                        emit(&r.0);
-                        slots.lock().expect("batch results mutex poisoned")[unit.index] = Some(r);
-                    }
-                });
-            }
-        });
-    }
+            r
+        })
+    });
 
     let summary = summarize(
-        results.iter().flatten().map(|(_, analyzed)| analyzed),
+        results.iter().map(|(_, analyzed)| analyzed),
         registry.stats(),
     );
-    let lines = results
-        .into_iter()
-        .flatten()
-        .map(|(line, _)| line)
-        .collect();
+    let lines = results.into_iter().map(|(line, _)| line).collect();
     BatchReport {
         lines,
         summary: summary.to_json_line(),
@@ -303,21 +266,21 @@ pub fn run_batch(opts: &BatchOptions, emit: &(dyn Fn(&str) + Sync)) -> BatchRepo
     }
 }
 
-/// How many budgeted firings one batch task should amortize its dispatch
-/// overhead over.
+/// How many budgeted firings one batch chunk should amortize its claim
+/// over.
 const UNIT_CHUNK_COST: u64 = 65_536;
 
 /// Chunk size for fanning batch units out: the worst-case unit cost is
 /// estimated from the firing caps the [`Budget`] will charge (a unit's
 /// tier, else the base cap). Cheap capped units batch together until a
-/// task carries roughly [`UNIT_CHUNK_COST`] firings; any uncapped unit
-/// keeps the whole batch at one unit per task. The pool's load-balancing
-/// bound caps the batch so every worker still gets tasks to steal.
-fn unit_chunk(units: &[Unit], base: &Budget, pool: &sdfr_pool::Pool) -> usize {
+/// chunk carries roughly [`UNIT_CHUNK_COST`] firings; any uncapped unit
+/// keeps the whole batch at one unit per chunk. [`sdfr_pool::chunk_size`]
+/// caps the batch so every thread still gets chunks to claim.
+fn unit_chunk(units: &[Unit], base: &Budget) -> usize {
     let cost = |u: &Unit| u.tier.or(base.max_firings()).unwrap_or(u64::MAX);
     let max_cost = units.iter().map(cost).max().unwrap_or(u64::MAX);
     let by_cost = usize::try_from(UNIT_CHUNK_COST / max_cost.max(1)).unwrap_or(usize::MAX);
-    by_cost.clamp(1, pool.chunk_size(units.len()))
+    by_cost.clamp(1, sdfr_pool::chunk_size(units.len()))
 }
 
 /// Folds analysed units into the `sdfr-api/1` [`BatchSummary`] (outcome
@@ -406,7 +369,6 @@ mod tests {
 
     #[test]
     fn unit_chunking_follows_the_tier_cost() {
-        let pool = sdfr_pool::Pool::new(2);
         let units: Vec<Unit> = (0..64)
             .map(|index| Unit {
                 index,
@@ -414,16 +376,18 @@ mod tests {
                 tier: Some(16),
             })
             .collect();
-        // Cheap tiers batch up, bounded by the pool's load-balance cap.
-        let c = unit_chunk(&units, &Budget::unlimited(), &pool);
-        assert!(c > 1, "cheap tiers should batch, got chunk {c}");
-        assert!(c <= pool.chunk_size(units.len()));
-        // One uncapped unit forces per-unit tasks for the whole batch.
-        let mut mixed = units.clone();
-        mixed[5].tier = None;
-        assert_eq!(unit_chunk(&mixed, &Budget::unlimited(), &pool), 1);
-        // An uncapped tier under a capped base budget uses the base cost.
-        let base = Budget::unlimited().with_max_firings(16);
-        assert!(unit_chunk(&mixed, &base, &pool) > 1);
+        sdfr_pool::with_threads(2, || {
+            // Cheap tiers batch up, bounded by the load-balance cap.
+            let c = unit_chunk(&units, &Budget::unlimited());
+            assert!(c > 1, "cheap tiers should batch, got chunk {c}");
+            assert!(c <= sdfr_pool::chunk_size(units.len()));
+            // One uncapped unit forces per-unit chunks for the whole batch.
+            let mut mixed = units.clone();
+            mixed[5].tier = None;
+            assert_eq!(unit_chunk(&mixed, &Budget::unlimited()), 1);
+            // An uncapped tier under a capped base budget uses the base cost.
+            let base = Budget::unlimited().with_max_firings(16);
+            assert!(unit_chunk(&mixed, &base) > 1);
+        });
     }
 }

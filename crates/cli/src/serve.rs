@@ -197,7 +197,6 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, CliError> {
 /// Everything a worker needs to answer requests.
 struct ServerState {
     registry: SessionRegistry,
-    pool: sdfr_pool::Pool,
     requests: AtomicU64,
     connections: AtomicU64,
     /// Requests served on an already-used keep-alive connection.
@@ -509,10 +508,8 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         replayed = records;
     }
 
-    let threads = sdfr_pool::default_threads();
     let state = Arc::new(ServerState {
         registry: SessionRegistry::with_config(opts.registry),
-        pool: sdfr_pool::Pool::new(threads),
         requests: AtomicU64::new(0),
         connections: AtomicU64::new(0),
         reused: AtomicU64::new(0),
@@ -537,9 +534,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     }
 
     if let Some(journal) = &state.journal {
-        state
-            .pool
-            .install(|| journal.restore_into(&replayed, &state.registry));
+        journal.restore_into(&replayed, &state.registry);
         let stats = journal.stats();
         if stats.loaded > 0 || stats.rejected > 0 {
             eprintln!(
@@ -565,10 +560,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 }
             })
             .collect();
-        let warmed = state
-            .pool
-            .install(|| state.registry.prefetch(&graphs, &opts.budget))
-            .len();
+        let warmed = state.registry.prefetch(&graphs, &opts.budget).len();
         eprintln!("sdfr serve: prefetched {warmed} graph(s)");
     }
 
@@ -930,19 +922,15 @@ fn handle_workload(path: &str, body: &str, failover: bool, state: &ServerState) 
                 (global, tier)
             });
             let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            // install() makes any nested analysis fan-out cooperate with
-            // the server's pool instead of spawning per-request threads.
-            let unit = state.pool.install(|| {
-                workload::analyze_unit(
-                    *kind,
-                    batch_fields,
-                    &g.name,
-                    source,
-                    &state.registry,
-                    &base,
-                    remaining,
-                )
-            });
+            let unit = workload::analyze_unit(
+                *kind,
+                batch_fields,
+                &g.name,
+                source,
+                &state.registry,
+                &base,
+                remaining,
+            );
             persist(state, g, &unit);
             analyzed.push(unit);
         }
@@ -1194,7 +1182,7 @@ fn stats_body(state: &ServerState) -> String {
          \"checkpoints_restored\":{},\"compactions\":{}}},\
          \"retries_observed\":{},\"draining\":{}{shard}}}\n",
         registry_stats_json(&registry),
-        pool_stats_json(&state.pool.stats()),
+        pool_stats_json(&sdfr_pool::stats()),
         state.requests.load(Ordering::Relaxed),
         state.connections.load(Ordering::Relaxed),
         state.reused.load(Ordering::Relaxed),
@@ -1210,247 +1198,68 @@ fn stats_body(state: &ServerState) -> String {
     )
 }
 
-/// Appends one metric in the Prometheus text exposition format: a `# HELP`
-/// line, a `# TYPE` line, and the sample itself.
-fn prom(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// `GET /metrics`: the `/v1/stats` counters rendered as Prometheus text.
-/// A pure formatter — every sample reads the same snapshots `/v1/stats`
+/// `GET /metrics`: the `/v1/stats` counters rendered as Prometheus text,
+/// one `# HELP` line, one `# TYPE` line and the sample per metric. A pure
+/// formatter — every sample reads the same snapshots `/v1/stats`
 /// serializes, so the two endpoints can never disagree about a value.
 fn metrics_body(state: &ServerState) -> String {
+    use std::fmt::Write;
+    const C: &str = "counter";
+    const G: &str = "gauge";
     let registry = state.registry.stats();
-    let pool = state.pool.stats();
+    let pool = sdfr_pool::stats();
     let journal = state
         .journal
         .as_ref()
         .map(|j| j.stats())
         .unwrap_or_default();
-    let mut out = String::new();
-    let o = &mut out;
-    prom(
-        o,
-        "sdfr_registry_hits_total",
-        "counter",
-        "Warm registry lookups",
-        registry.hits,
-    );
-    prom(
-        o,
-        "sdfr_registry_misses_total",
-        "counter",
-        "Cold registry lookups",
-        registry.misses,
-    );
-    prom(
-        o,
-        "sdfr_registry_bypasses_total",
-        "counter",
-        "Lookups that bypassed the registry",
-        registry.bypasses,
-    );
-    prom(
-        o,
-        "sdfr_registry_collisions_total",
-        "counter",
-        "Fingerprint collisions detected",
-        registry.collisions,
-    );
-    prom(
-        o,
-        "sdfr_registry_evictions_total",
-        "counter",
-        "Sessions evicted by capacity limits",
-        registry.evictions,
-    );
-    prom(
-        o,
-        "sdfr_registry_near_hits_total",
-        "counter",
-        "Misses seeded from a family member's engine checkpoint",
-        registry.near_hits,
-    );
-    prom(
-        o,
-        "sdfr_registry_entries",
-        "gauge",
-        "Resident registry sessions",
-        registry.entries as u64,
-    );
-    prom(
-        o,
-        "sdfr_registry_bytes_estimate",
-        "gauge",
-        "Estimated resident session bytes",
-        registry.bytes_estimate,
-    );
-    prom(
-        o,
-        "sdfr_registry_symbolic_iterations_total",
-        "counter",
-        "Symbolic iterations executed",
-        registry.symbolic_iterations,
-    );
-    prom(
-        o,
-        "sdfr_pool_threads",
-        "gauge",
-        "Worker pool executors",
-        pool.threads as u64,
-    );
-    prom(
-        o,
-        "sdfr_pool_spawned_total",
-        "counter",
-        "Tasks spawned on the pool",
-        pool.spawned,
-    );
-    prom(
-        o,
-        "sdfr_pool_stolen_total",
-        "counter",
-        "Tasks stolen across workers",
-        pool.stolen,
-    );
-    prom(
-        o,
-        "sdfr_pool_executed_total",
-        "counter",
-        "Tasks executed to completion",
-        pool.executed,
-    );
-    prom(
-        o,
-        "sdfr_requests_total",
-        "counter",
-        "HTTP requests served",
-        state.requests.load(Ordering::Relaxed),
-    );
-    prom(
-        o,
-        "sdfr_connections_handled_total",
-        "counter",
-        "Connections accepted",
-        state.connections.load(Ordering::Relaxed),
-    );
-    prom(
-        o,
-        "sdfr_connections_reused_requests_total",
-        "counter",
-        "Keep-alive requests beyond each connection's first",
-        state.reused.load(Ordering::Relaxed),
-    );
-    prom(
-        o,
-        "sdfr_journal_loaded_total",
-        "counter",
-        "Sessions restored from the cache journal",
-        journal.loaded,
-    );
-    prom(
-        o,
-        "sdfr_journal_rejected_total",
-        "counter",
-        "Journal records rejected",
-        journal.rejected,
-    );
-    prom(
-        o,
-        "sdfr_journal_appended_total",
-        "counter",
-        "Journal records appended",
-        journal.appended,
-    );
-    prom(
-        o,
-        "sdfr_journal_compactions_total",
-        "counter",
-        "Journal compaction rewrites",
-        journal.compactions,
-    );
-    prom(
-        o,
-        "sdfr_checkpoints_persisted_total",
-        "counter",
-        "Appended records carrying an engine checkpoint",
-        journal.checkpoints_persisted,
-    );
-    prom(
-        o,
-        "sdfr_checkpoints_restored_total",
-        "counter",
-        "Restored sessions with an attached engine checkpoint",
-        journal.checkpoints_restored,
-    );
-    prom(
-        o,
-        "sdfr_retries_observed_total",
-        "counter",
-        "Requests flagged as client retries",
-        state.retries_observed.load(Ordering::Relaxed),
-    );
-    prom(
-        o,
-        "sdfr_draining",
-        "gauge",
-        "1 while the server is draining",
-        u64::from(DRAIN.load(Ordering::SeqCst)),
-    );
+    let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+    #[rustfmt::skip]
+    let mut metrics: Vec<(&str, &str, &str, u64)> = vec![
+        ("sdfr_registry_hits_total", C, "Warm registry lookups", registry.hits),
+        ("sdfr_registry_misses_total", C, "Cold registry lookups", registry.misses),
+        ("sdfr_registry_bypasses_total", C, "Lookups that bypassed the registry", registry.bypasses),
+        ("sdfr_registry_collisions_total", C, "Fingerprint collisions detected", registry.collisions),
+        ("sdfr_registry_evictions_total", C, "Sessions evicted by capacity limits", registry.evictions),
+        ("sdfr_registry_near_hits_total", C, "Misses seeded from a family member's engine checkpoint", registry.near_hits),
+        ("sdfr_registry_entries", G, "Resident registry sessions", registry.entries as u64),
+        ("sdfr_registry_bytes_estimate", G, "Estimated resident session bytes", registry.bytes_estimate),
+        ("sdfr_registry_symbolic_iterations_total", C, "Symbolic iterations executed", registry.symbolic_iterations),
+        ("sdfr_pool_threads", G, "Worker pool executors", pool.threads as u64),
+        ("sdfr_pool_spawned_total", C, "Tasks spawned on the pool", pool.spawned),
+        ("sdfr_pool_stolen_total", C, "Tasks stolen across workers", pool.stolen),
+        ("sdfr_pool_executed_total", C, "Tasks executed to completion", pool.executed),
+        ("sdfr_requests_total", C, "HTTP requests served", load(&state.requests)),
+        ("sdfr_connections_handled_total", C, "Connections accepted", load(&state.connections)),
+        ("sdfr_connections_reused_requests_total", C, "Keep-alive requests beyond each connection's first", load(&state.reused)),
+        ("sdfr_journal_loaded_total", C, "Sessions restored from the cache journal", journal.loaded),
+        ("sdfr_journal_rejected_total", C, "Journal records rejected", journal.rejected),
+        ("sdfr_journal_appended_total", C, "Journal records appended", journal.appended),
+        ("sdfr_journal_compactions_total", C, "Journal compaction rewrites", journal.compactions),
+        ("sdfr_checkpoints_persisted_total", C, "Appended records carrying an engine checkpoint", journal.checkpoints_persisted),
+        ("sdfr_checkpoints_restored_total", C, "Restored sessions with an attached engine checkpoint", journal.checkpoints_restored),
+        ("sdfr_retries_observed_total", C, "Requests flagged as client retries", load(&state.retries_observed)),
+        ("sdfr_draining", G, "1 while the server is draining", u64::from(DRAIN.load(Ordering::SeqCst))),
+    ];
     // Like `/v1/stats`, shard metrics appear only on sharded servers so a
     // lone server's exposition stays byte-identical across releases.
     if let Some(shard) = &state.shard {
-        prom(
-            o,
-            "sdfr_shard_id",
-            "gauge",
-            "This server's shard id",
-            u64::from(shard.id),
-        );
-        prom(
-            o,
-            "sdfr_shard_count",
-            "gauge",
-            "Shards in the fleet map",
-            shard.map.len() as u64,
-        );
-        prom(
-            o,
-            "sdfr_shard_misroutes_total",
-            "counter",
-            "Requests rejected with a 421 redirect",
-            shard.misroutes.load(Ordering::Relaxed),
-        );
-        prom(
-            o,
-            "sdfr_shard_proxied_total",
-            "counter",
-            "Mis-routed requests forwarded to their owner",
-            shard.proxied.load(Ordering::Relaxed),
-        );
-        prom(
-            o,
-            "sdfr_shard_handoffs_requested_total",
-            "counter",
-            "Warm-archive fetches attempted from the ring successor",
-            shard.handoffs_requested.load(Ordering::Relaxed),
-        );
-        prom(
-            o,
-            "sdfr_shard_handoffs_received_total",
-            "counter",
-            "Warm archives restored from a peer",
-            shard.handoffs_received.load(Ordering::Relaxed),
-        );
-        prom(
-            o,
-            "sdfr_shard_handoffs_served_total",
-            "counter",
-            "Warm archives exported to a peer",
-            shard.handoffs_served.load(Ordering::Relaxed),
+        #[rustfmt::skip]
+        metrics.extend([
+            ("sdfr_shard_id", G, "This server's shard id", u64::from(shard.id)),
+            ("sdfr_shard_count", G, "Shards in the fleet map", shard.map.len() as u64),
+            ("sdfr_shard_misroutes_total", C, "Requests rejected with a 421 redirect", load(&shard.misroutes)),
+            ("sdfr_shard_proxied_total", C, "Mis-routed requests forwarded to their owner", load(&shard.proxied)),
+            ("sdfr_shard_handoffs_requested_total", C, "Warm-archive fetches attempted from the ring successor", load(&shard.handoffs_requested)),
+            ("sdfr_shard_handoffs_received_total", C, "Warm archives restored from a peer", load(&shard.handoffs_received)),
+            ("sdfr_shard_handoffs_served_total", C, "Warm archives exported to a peer", load(&shard.handoffs_served)),
+        ]);
+    }
+    let mut out = String::new();
+    for (name, kind, help, value) in metrics {
+        let _ = write!(
+            out,
+            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
         );
     }
     out
@@ -1551,7 +1360,6 @@ mod tests {
     fn test_state() -> ServerState {
         ServerState {
             registry: SessionRegistry::new(),
-            pool: sdfr_pool::Pool::new(1),
             requests: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             reused: AtomicU64::new(0),

@@ -1438,3 +1438,168 @@ fn future_minor_versions_are_forward_compatible() {
     let bad = sdfr(&["--api-version", "2.0", "analyze", &demo, "--json"]);
     assert_eq!(bad.status.code(), Some(2), "{bad:?}");
 }
+
+/// The exact `/v1/stats` and `/metrics` bodies of a fresh two-thread
+/// server: every counter's name, order, `# HELP`/`# TYPE` text and zero
+/// value is part of the operator-facing contract.
+#[test]
+fn fresh_server_stats_and_metrics_bodies_are_pinned() {
+    let server = Server::start_env(&[], &[("SDFR_THREADS", "2")]);
+    let (status, stats) = http(&server.addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        stats,
+        "{\"schema\":\"sdfr-api/1\",\"registry\":{\"hits\":0,\"misses\":0,\"bypasses\":0,\
+         \"collisions\":0,\"evictions\":0,\"entries\":0,\"bytes_estimate\":0,\
+         \"symbolic_iterations\":0},\"pool\":{\"threads\":2,\"spawned\":0,\"stolen\":0,\
+         \"executed\":0},\"requests\":1,\"connections\":{\"handled\":1,\"reused_requests\":0},\
+         \"persistence\":{\"journal_loaded\":0,\"journal_rejected\":0,\"journal_appended\":0},\
+         \"incremental\":{\"near_hits\":0,\"checkpoints_persisted\":0,\
+         \"checkpoints_restored\":0,\"compactions\":0},\"retries_observed\":0,\
+         \"draining\":false}\n"
+    );
+    let (status, metrics) = http(&server.addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let expected: String = [
+        (
+            "sdfr_registry_hits_total",
+            "counter",
+            "Warm registry lookups",
+            0,
+        ),
+        (
+            "sdfr_registry_misses_total",
+            "counter",
+            "Cold registry lookups",
+            0,
+        ),
+        (
+            "sdfr_registry_bypasses_total",
+            "counter",
+            "Lookups that bypassed the registry",
+            0,
+        ),
+        (
+            "sdfr_registry_collisions_total",
+            "counter",
+            "Fingerprint collisions detected",
+            0,
+        ),
+        (
+            "sdfr_registry_evictions_total",
+            "counter",
+            "Sessions evicted by capacity limits",
+            0,
+        ),
+        (
+            "sdfr_registry_near_hits_total",
+            "counter",
+            "Misses seeded from a family member's engine checkpoint",
+            0,
+        ),
+        (
+            "sdfr_registry_entries",
+            "gauge",
+            "Resident registry sessions",
+            0,
+        ),
+        (
+            "sdfr_registry_bytes_estimate",
+            "gauge",
+            "Estimated resident session bytes",
+            0,
+        ),
+        (
+            "sdfr_registry_symbolic_iterations_total",
+            "counter",
+            "Symbolic iterations executed",
+            0,
+        ),
+        ("sdfr_pool_threads", "gauge", "Worker pool executors", 2),
+        (
+            "sdfr_pool_spawned_total",
+            "counter",
+            "Tasks spawned on the pool",
+            0,
+        ),
+        (
+            "sdfr_pool_stolen_total",
+            "counter",
+            "Tasks stolen across workers",
+            0,
+        ),
+        (
+            "sdfr_pool_executed_total",
+            "counter",
+            "Tasks executed to completion",
+            0,
+        ),
+        ("sdfr_requests_total", "counter", "HTTP requests served", 2),
+        (
+            "sdfr_connections_handled_total",
+            "counter",
+            "Connections accepted",
+            2,
+        ),
+        (
+            "sdfr_connections_reused_requests_total",
+            "counter",
+            "Keep-alive requests beyond each connection's first",
+            0,
+        ),
+        (
+            "sdfr_journal_loaded_total",
+            "counter",
+            "Sessions restored from the cache journal",
+            0,
+        ),
+        (
+            "sdfr_journal_rejected_total",
+            "counter",
+            "Journal records rejected",
+            0,
+        ),
+        (
+            "sdfr_journal_appended_total",
+            "counter",
+            "Journal records appended",
+            0,
+        ),
+        (
+            "sdfr_journal_compactions_total",
+            "counter",
+            "Journal compaction rewrites",
+            0,
+        ),
+        (
+            "sdfr_checkpoints_persisted_total",
+            "counter",
+            "Appended records carrying an engine checkpoint",
+            0,
+        ),
+        (
+            "sdfr_checkpoints_restored_total",
+            "counter",
+            "Restored sessions with an attached engine checkpoint",
+            0,
+        ),
+        (
+            "sdfr_retries_observed_total",
+            "counter",
+            "Requests flagged as client retries",
+            0,
+        ),
+        (
+            "sdfr_draining",
+            "gauge",
+            "1 while the server is draining",
+            0,
+        ),
+    ]
+    .iter()
+    .map(|(name, kind, help, value)| {
+        format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n")
+    })
+    .collect();
+    assert_eq!(metrics, expected);
+}

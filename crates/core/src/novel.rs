@@ -103,7 +103,7 @@ impl NovelConversion {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn convert(g: &SdfGraph) -> Result<NovelConversion, SdfError> {
-    convert_with_session(&AnalysisSession::new(g.clone()))
+    Ok(build(g, symbolic_iteration(g)?, &[], true))
 }
 
 /// [`convert`] on an [`AnalysisSession`], reusing its cached symbolic

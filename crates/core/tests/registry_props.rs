@@ -123,7 +123,7 @@ proptest! {
 
     /// The chunked parallel fan-outs — capacity minimization's probe ring
     /// and the Pareto sweep — are byte-identical to the serial oracle at
-    /// every pool width 1..=8, on random graphs (deadlocking ones included:
+    /// every fan-out width 1..=8, on random graphs (deadlocking ones included:
     /// errors must match too). Chunking batches probes by the budget cost
     /// model, so this pins "coarser tasks" to "identical answers".
     #[test]
@@ -131,16 +131,15 @@ proptest! {
         let graph = g.build();
         let iterations = 3;
         let serial_curve = throughput_buffer_tradeoff_serial(&graph, iterations);
-        let serial_caps = sdfr_pool::Pool::new(1)
-            .install(|| minimize_capacities(&graph, iterations));
+        let serial_caps = sdfr_pool::with_threads(1, || minimize_capacities(&graph, iterations));
         for width in 1..=8usize {
-            let pool = sdfr_pool::Pool::new(width);
-            let curve = pool.install(|| throughput_buffer_tradeoff(&graph, iterations));
+            let curve =
+                sdfr_pool::with_threads(width, || throughput_buffer_tradeoff(&graph, iterations));
             prop_assert_eq!(
                 &curve, &serial_curve,
                 "Pareto sweep diverged from serial at width {}", width
             );
-            let caps = pool.install(|| minimize_capacities(&graph, iterations));
+            let caps = sdfr_pool::with_threads(width, || minimize_capacities(&graph, iterations));
             prop_assert_eq!(
                 &caps, &serial_caps,
                 "capacity minimization diverged from 1-thread at width {}", width

@@ -69,44 +69,55 @@ fn random_graph() -> impl Strategy<Value = RandomGraph> {
     })
 }
 
+/// Every artifact served from a session over `g` is identical to the
+/// free-function result computed from scratch on the same graph.
+fn session_matches_free_functions(g: &SdfGraph) -> Result<(), TestCaseError> {
+    let s = AnalysisSession::new(g.clone());
+    match (s.throughput(), throughput(g)) {
+        (Ok(a), Ok(b)) => {
+            prop_assert_eq!(a.period(), b.period());
+            // γ agrees too (free function recomputes it).
+            prop_assert_eq!(
+                s.repetition_vector().unwrap(),
+                &repetition_vector(g).unwrap()
+            );
+            // The cached matrix is the matrix of a fresh iteration.
+            let sym = symbolic_iteration(g).unwrap();
+            prop_assert_eq!(&s.symbolic().unwrap().matrix, &sym.matrix);
+            prop_assert_eq!(s.bottleneck().unwrap(), bottleneck(g).unwrap());
+            // Conversions through the session build the free path's graphs.
+            let nv_free = novel::convert(g).unwrap();
+            let nv_sess = novel::convert_with_session(&s).unwrap();
+            prop_assert_eq!(&nv_free.graph, &nv_sess.graph);
+            let tr_free = traditional::convert(g).unwrap();
+            let tr_sess = traditional::convert_with_session(&s).unwrap();
+            prop_assert_eq!(tr_free.graph.num_actors(), tr_sess.graph.num_actors());
+            // Everything above came out of one symbolic iteration.
+            prop_assert_eq!(s.symbolic_iterations_computed(), 1);
+        }
+        (Err(SdfError::Deadlock { .. }), Err(SdfError::Deadlock { .. })) => {}
+        (a, b) => prop_assert!(false, "session {a:?} vs free {b:?}"),
+    }
+    Ok(())
+}
+
+/// The session-versus-free contract on the Table-1 graphs.
+#[test]
+fn session_results_equal_free_functions_on_table1() {
+    for case in sdfr_benchmarks::table1::all() {
+        if let Err(e) = session_matches_free_functions(&case.graph) {
+            panic!("{}: {e}", case.name);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every artifact served from the session cache is identical to the
-    /// free-function result computed from scratch on the same graph.
+    /// The session-versus-free contract on random graphs.
     #[test]
     fn session_results_equal_free_functions(g in random_graph()) {
-        let g = g.build();
-        let s = AnalysisSession::new(g.clone());
-
-        match (s.throughput(), throughput(&g)) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.period(), b.period());
-                // γ agrees too (free function recomputes it).
-                prop_assert_eq!(
-                    s.repetition_vector().unwrap(),
-                    &repetition_vector(&g).unwrap()
-                );
-                // The cached matrix is the matrix of a fresh iteration.
-                let sym = symbolic_iteration(&g).unwrap();
-                prop_assert_eq!(&s.symbolic().unwrap().matrix, &sym.matrix);
-                prop_assert_eq!(s.bottleneck().unwrap(), bottleneck(&g).unwrap());
-                // Conversions through the session match the free path.
-                let nv_free = novel::convert(&g).unwrap();
-                let nv_sess = novel::convert_with_session(&s).unwrap();
-                prop_assert_eq!(nv_free.stats(), nv_sess.stats());
-                let tr_free = traditional::convert(&g).unwrap();
-                let tr_sess = traditional::convert_with_session(&s).unwrap();
-                prop_assert_eq!(
-                    tr_free.graph.num_actors(),
-                    tr_sess.graph.num_actors()
-                );
-                // Everything above came out of one symbolic iteration.
-                prop_assert_eq!(s.symbolic_iterations_computed(), 1);
-            }
-            (Err(SdfError::Deadlock { .. }), Err(SdfError::Deadlock { .. })) => {}
-            (a, b) => prop_assert!(false, "session {a:?} vs free {b:?}"),
-        }
+        session_matches_free_functions(&g.build())?;
     }
 
     /// A session shared across scoped threads under a tight budget never

@@ -1,714 +1,227 @@
-//! A dependency-free work-stealing thread pool for the workspace's parallel
-//! fan-outs (capacity probing, the Pareto sweep, `sdfr batch` units,
-//! registry prefetching).
+//! Scoped fan-out for the workspace's independent analysis runs: capacity
+//! probes, Pareto steps, `sdfr batch` units and registry prefetching.
 //!
-//! # Why not `std::thread::scope` per call?
-//!
-//! The design-space searches fan out *nested*: a batch unit runs a Pareto
-//! sweep whose every step probes capacities in parallel. Spawning fresh OS
-//! threads at each level oversubscribes the machine (threads multiply
-//! across levels) or serializes (when an inner fan-out decides one worker
-//! is warranted because the outer level already owns the cores). A shared
-//! pool makes the levels *cooperate*: inner fan-outs schedule tasks onto
-//! the same workers, and a thread waiting for a scope to finish executes
-//! queued tasks instead of blocking.
-//!
-//! # Executor model
-//!
-//! [`Pool::new(n)`](Pool::new) spawns `n − 1` background workers; the
-//! thread driving a [`Pool::scope`] participates as the n-th executor while
-//! it waits. Each worker owns a deque used LIFO from its own end (good
-//! locality for nested spawns) and FIFO from thieves' end (oldest —
-//! biggest — tasks migrate first); tasks submitted from outside the pool
-//! land in a shared FIFO injector. A **1-thread pool runs every task on the
-//! scope-driving thread in submission order** — the deterministic serial
-//! reference the differential tests compare against.
-//!
-//! # Determinism
-//!
-//! Work stealing randomizes *completion* order, never results: every
-//! fan-out in this workspace writes results into index-addressed slots and
-//! folds them in ascending index order, so pooled results are byte-identical
-//! to the serial reference paths regardless of thread count or steal
-//! schedule.
-//!
-//! # Sizing
-//!
-//! The lazily-created [`global`] pool sizes itself from
-//! [`std::thread::available_parallelism`], overridable with the
-//! `SDFR_THREADS` environment variable (a positive integer; see
-//! [`env_threads`] for the validation front-ends use to reject bad values
-//! up front — the lazy global itself ignores an invalid override rather
-//! than panicking from library code).
-//!
-//! # Example
+//! Each run is an independent Algorithm-1 execution folded in index order,
+//! so [`map_chunked`] is a scoped map over index-addressed slots: under
+//! [`std::thread::scope`], the caller and up to [`threads`]` − 1` helpers
+//! claim contiguous index chunks from one atomic counter, and the chunks'
+//! results are concatenated in ascending order. The output is exactly
+//! `(0..n).map(f)` at every width, and no thread outlives the call. With a
+//! width of 1, when one chunk covers `n`, or inside another fan-out, it is
+//! the plain serial map on the calling thread, so nesting never multiplies
+//! threads.
 //!
 //! ```
-//! let pool = sdfr_pool::Pool::new(4);
-//! // Index-ordered parallel map: results never depend on scheduling.
-//! let squares = pool.map_indexed(8, |i| i * i);
+//! let squares = sdfr_pool::with_threads(4, || sdfr_pool::map_chunked(8, 2, |i| i * i));
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//!
-//! // Scoped spawns may borrow from the enclosing frame.
-//! let data = vec![1u64, 2, 3];
-//! let sum = std::sync::atomic::AtomicU64::new(0);
-//! pool.scope(|s| {
-//!     for &x in &data {
-//!         let sum = &sum;
-//!         s.spawn(move |_| {
-//!             sum.fetch_add(x, std::sync::atomic::Ordering::Relaxed);
-//!         });
-//!     }
-//! });
-//! assert_eq!(sum.into_inner(), 6);
-//! assert!(pool.stats().executed >= 8);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::any::Any;
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// A queued unit of work. All jobs are created by [`Scope::spawn`], which
-/// wraps the user closure in panic capture and completion bookkeeping, so
-/// executing a job never unwinds.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// How long an idle worker sleeps before re-polling the queues (a safety
-/// net; pushes notify the condvar under the idle lock, so wakeups are not
-/// normally missed).
-const IDLE_POLL: Duration = Duration::from_millis(50);
-
-/// How long a scope-waiting thread sleeps between help attempts when no
-/// task is currently stealable.
-const WAIT_POLL: Duration = Duration::from_millis(1);
-
-/// The shared state of one pool: queues, sleep coordination, counters.
-struct Inner {
-    /// Total executor count (background workers + the scope-driving
-    /// thread); `queues.len() == threads - 1`.
-    threads: usize,
-    /// FIFO queue for tasks submitted from threads outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker deques: owner pushes/pops at the back (LIFO), thieves
-    /// and the injector-drain path pop at the front (FIFO).
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Sleep coordination: pushes notify under this lock, idle workers
-    /// re-check the queues under it before sleeping.
-    idle: Mutex<()>,
-    work: Condvar,
-    shutdown: AtomicBool,
-    spawned: AtomicU64,
-    stolen: AtomicU64,
-    executed: AtomicU64,
-}
-
-impl Inner {
-    /// Takes one job: own deque back (LIFO) when called by worker `local`,
-    /// then the shared injector front, then other workers' fronts (a
-    /// steal). Returns `None` when every queue is momentarily empty.
-    fn find_job(&self, local: Option<usize>) -> Option<Job> {
-        if let Some(i) = local {
-            if let Some(job) = self.queues[i].lock().expect("pool queue").pop_back() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().expect("pool injector").pop_front() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        let start = local.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == local {
-                continue;
-            }
-            if let Some(job) = self.queues[victim].lock().expect("pool queue").pop_front() {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Whether any queue currently holds a task (checked under the idle
-    /// lock before a worker goes to sleep).
-    fn has_work(&self) -> bool {
-        if !self.injector.lock().expect("pool injector").is_empty() {
-            return true;
-        }
-        self.queues
-            .iter()
-            .any(|q| !q.lock().expect("pool queue").is_empty())
-    }
-
-    /// Enqueues a job: onto the calling worker's own deque when the caller
-    /// belongs to this pool (LIFO locality), onto the injector otherwise.
-    fn push(self: &Arc<Self>, job: Job) {
-        let local = WORKER.with(|w| {
-            w.borrow()
-                .as_ref()
-                .filter(|ctx| Arc::ptr_eq(&ctx.inner, self))
-                .map(|ctx| ctx.index)
-        });
-        match local {
-            Some(i) => self.queues[i].lock().expect("pool queue").push_back(job),
-            None => self.injector.lock().expect("pool injector").push_back(job),
-        }
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-        // Lock-then-notify pairs with the sleep path's re-check under the
-        // same lock: a job is either visible to that re-check or its
-        // notification arrives after the sleeper released the lock.
-        let _guard = self.idle.lock().expect("pool idle lock");
-        self.work.notify_all();
-    }
-
-    fn execute(&self, job: Job) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        job();
-    }
-}
-
-/// Per-thread identity of pool workers, used to route [`Scope::spawn`] to
-/// the local deque and to resolve [`current`] on worker threads.
-struct WorkerCtx {
-    inner: Arc<Inner>,
-    joiner: Weak<Joiner>,
-    index: usize,
-}
+/// Process-wide fan-out counters (see [`PoolStats`]).
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+static STOLEN: AtomicU64 = AtomicU64::new(0);
+static EXECUTED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    static WORKER: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
-    static CURRENT: RefCell<Option<Pool>> = const { RefCell::new(None) };
+    /// The calling thread's [`with_threads`] override.
+    static WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set while this thread runs a fan-out's chunks.
+    static IN_FAN_OUT: Cell<bool> = const { Cell::new(false) };
+    /// This thread's helper slot, on fan-out helpers.
+    static HELPER: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn worker_loop(inner: Arc<Inner>, joiner: Weak<Joiner>, index: usize) {
-    WORKER.with(|w| {
-        *w.borrow_mut() = Some(WorkerCtx {
-            inner: Arc::clone(&inner),
-            joiner,
-            index,
-        });
-    });
-    loop {
-        if let Some(job) = inner.find_job(Some(index)) {
-            inner.execute(job);
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let guard = inner.idle.lock().expect("pool idle lock");
-        if inner.shutdown.load(Ordering::Acquire) || inner.has_work() {
-            continue;
-        }
-        let _ = inner.work.wait_timeout(guard, IDLE_POLL);
-    }
-}
-
-/// Owns the worker threads: dropping the last [`Pool`] handle signals
-/// shutdown and joins them. Workers themselves hold only a [`Weak`]
-/// reference, so the cycle pool → joiner → worker → pool never forms.
-struct Joiner {
-    inner: Arc<Inner>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for Joiner {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.inner.idle.lock().expect("pool idle lock");
-            self.inner.work.notify_all();
-        }
-        // The last handle can die on one of this pool's own workers — e.g.
-        // a queued job's environment held the final `Pool` clone and the
-        // worker drops it after running the job. Joining from there would
-        // self-join (a panic) or block a worker on its peers; detach
-        // instead — every worker exits by itself within one idle poll of
-        // the shutdown flag. `try_with` also covers drops during thread
-        // teardown, after the identity TLS is gone.
-        let on_own_worker = WORKER
-            .try_with(|w| {
-                w.borrow()
-                    .as_ref()
-                    .is_some_and(|ctx| Arc::ptr_eq(&ctx.inner, &self.inner))
-            })
-            .unwrap_or(true);
-        if on_own_worker {
-            return;
-        }
-        for handle in self.handles.lock().expect("pool joiner").drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A work-stealing thread pool. Cheap to clone (a pair of [`Arc`]s); the
-/// worker threads shut down when the last handle is dropped.
-///
-/// See the [module documentation](self) for the executor model.
-#[derive(Clone)]
-pub struct Pool {
-    inner: Arc<Inner>,
-    /// Keep-alive: dropping the last handle joins the workers.
-    _joiner: Arc<Joiner>,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// A snapshot of a pool's lifetime counters.
+/// A snapshot of the process-wide fan-out counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Executor count (background workers + one scope-driving thread).
+    /// The calling thread's [`threads`].
     pub threads: usize,
-    /// Tasks submitted via [`Scope::spawn`].
+    /// Chunks handed out by parallel fan-outs.
     pub spawned: u64,
-    /// Tasks taken from another worker's deque (or from a worker's deque
-    /// by a helping non-worker thread).
+    /// Chunks run on a helper thread rather than the caller.
     pub stolen: u64,
-    /// Tasks executed to completion (including panicked ones — the panic
-    /// is captured and re-thrown from the owning scope).
+    /// Chunks run to completion.
     pub executed: u64,
 }
 
-impl Pool {
-    /// Creates a pool with `threads` executors: `threads - 1` background
-    /// workers plus the thread that drives each [`Pool::scope`]. A
-    /// 1-thread pool spawns no workers and runs every task on the
-    /// scope-driving thread in submission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` — front-ends validate user-supplied counts
-    /// first (see [`env_threads`]) and report a usage error instead.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "a pool requires at least one thread");
-        let workers = threads - 1;
-        let inner = Arc::new(Inner {
-            threads,
-            injector: Mutex::new(VecDeque::new()),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            spawned: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-        });
-        let joiner = Arc::new(Joiner {
-            inner: Arc::clone(&inner),
-            handles: Mutex::new(Vec::with_capacity(workers)),
-        });
-        for index in 0..workers {
-            let inner = Arc::clone(&inner);
-            let weak = Arc::downgrade(&joiner);
-            let handle = std::thread::Builder::new()
-                .name(format!("sdfr-pool-{index}"))
-                .spawn(move || worker_loop(inner, weak, index))
-                .expect("spawn pool worker thread");
-            joiner.handles.lock().expect("pool joiner").push(handle);
-        }
-        Pool {
-            inner,
-            _joiner: joiner,
-        }
-    }
-
-    /// The executor count this pool was created with.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
-
-    /// A snapshot of the lifetime spawn/steal/execute counters.
-    #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads: self.inner.threads,
-            spawned: self.inner.spawned.load(Ordering::Relaxed),
-            stolen: self.inner.stolen.load(Ordering::Relaxed),
-            executed: self.inner.executed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Runs `f` with a [`Scope`] onto which tasks borrowing from the
-    /// enclosing frame may be spawned, and returns only after every
-    /// spawned task (including transitively spawned ones) has completed.
-    ///
-    /// While waiting, the calling thread executes queued tasks — its own
-    /// scope's or any other's — so nested scopes cannot deadlock: a worker
-    /// blocked on an inner scope keeps draining the very queue its tasks
-    /// are waiting in.
-    ///
-    /// # Panics
-    ///
-    /// If `f` or any spawned task panics, the panic is re-thrown here
-    /// after all tasks of the scope have completed (the first captured
-    /// payload wins; every task still runs to its own completion or
-    /// panic).
-    pub fn scope<'scope, R>(&self, f: impl FnOnce(&Scope<'scope>) -> R + 'scope) -> R {
-        let scope = Scope {
-            pool: self.clone(),
-            state: Arc::new(ScopeState {
-                pending: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-                lock: Mutex::new(()),
-                cvar: Condvar::new(),
-            }),
-            _marker: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        self.wait_scope(&scope.state);
-        // The driver's own panic takes precedence; a task panic is only
-        // surfaced when the driver completed normally.
-        match result {
-            Ok(r) => {
-                if let Some(payload) = scope.state.panic.lock().expect("scope panic slot").take() {
-                    resume_unwind(payload);
-                }
-                r
-            }
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Evaluates `f(0..n)` on the pool and returns the results in index
-    /// order — scheduling affects wall-clock time, never the result. With
-    /// one thread (or `n <= 1`) this is a plain sequential map on the
-    /// calling thread.
-    pub fn map_indexed<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        if n <= 1 || self.threads() == 1 {
-            return (0..n).map(f).collect();
-        }
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let slots = &slots;
-        let f = &f;
-        self.scope(|s| {
-            for (i, slot) in slots.iter().enumerate() {
-                s.spawn(move |_| {
-                    let r = f(i);
-                    *slot.lock().expect("result slot") = Some(r);
-                });
-            }
-        });
-        slots
-            .iter()
-            .map(|m| {
-                m.lock()
-                    .expect("result slot")
-                    .take()
-                    .expect("scope waits for every task")
-            })
-            .collect()
-    }
-
-    /// A coarse chunk size for fanning `n` items out on this pool: a few
-    /// chunks per executor balances load under work stealing without
-    /// paying per-item task overhead (boxing, queue locking, slot
-    /// round-trips). Callers with a per-item cost model (e.g. the buffer
-    /// sweep's `Budget` estimates) may pass their own size to
-    /// [`map_indexed_chunked`](Pool::map_indexed_chunked) instead.
-    #[must_use]
-    pub fn chunk_size(&self, n: usize) -> usize {
-        const CHUNKS_PER_THREAD: usize = 4;
-        n.div_ceil((self.threads() * CHUNKS_PER_THREAD).max(1))
-            .max(1)
-    }
-
-    /// Like [`map_indexed`](Pool::map_indexed), but spawns **one task per
-    /// contiguous chunk of `chunk` indices** instead of one per index, and
-    /// flattens the per-chunk results in ascending chunk (hence index)
-    /// order. Each index still evaluates the same pure `f(i)`, so the
-    /// output is element-for-element identical to the serial
-    /// `(0..n).map(f)` regardless of chunk size, thread count, or steal
-    /// schedule — only task-dispatch overhead changes.
-    ///
-    /// `chunk == 0` is treated as 1. With one thread, or when a single
-    /// chunk covers all of `n`, this is a plain sequential map on the
-    /// calling thread.
-    pub fn map_indexed_chunked<R: Send>(
-        &self,
-        n: usize,
-        chunk: usize,
-        f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<R> {
-        let chunk = chunk.max(1);
-        if n <= chunk || self.threads() == 1 {
-            return (0..n).map(f).collect();
-        }
-        let chunks = n.div_ceil(chunk);
-        let slots: Vec<Mutex<Option<Vec<R>>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-        let slots = &slots;
-        let f = &f;
-        self.scope(|s| {
-            for (c, slot) in slots.iter().enumerate() {
-                let start = c * chunk;
-                let end = ((c + 1) * chunk).min(n);
-                s.spawn(move |_| {
-                    let r: Vec<R> = (start..end).map(f).collect();
-                    *slot.lock().expect("chunk slot") = Some(r);
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(n);
-        for m in slots {
-            out.append(
-                m.lock()
-                    .expect("chunk slot")
-                    .take()
-                    .expect("scope waits for every task")
-                    .as_mut(),
-            );
-        }
-        out
-    }
-
-    /// Runs `f` with this pool installed as the calling thread's
-    /// [`current`] pool, so library fan-outs inside `f` route here instead
-    /// of the global pool. The previous installation is restored on exit,
-    /// panic included. (Worker threads are bound to their own pool and
-    /// ignore installations.)
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<Pool>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let prev = self.0.take();
-                CURRENT.with(|c| *c.borrow_mut() = prev);
-            }
-        }
-        let _restore = Restore(CURRENT.with(|c| c.borrow_mut().replace(self.clone())));
-        f()
-    }
-
-    /// Help-while-waiting: executes queued tasks until `state.pending`
-    /// drops to zero.
-    fn wait_scope(&self, state: &ScopeState) {
-        let local = WORKER.with(|w| {
-            w.borrow()
-                .as_ref()
-                .filter(|ctx| Arc::ptr_eq(&ctx.inner, &self.inner))
-                .map(|ctx| ctx.index)
-        });
-        while state.pending.load(Ordering::Acquire) > 0 {
-            if let Some(job) = self.inner.find_job(local) {
-                self.inner.execute(job);
-            } else {
-                let guard = state.lock.lock().expect("scope lock");
-                if state.pending.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Timed: new stealable work elsewhere in the pool does not
-                // signal this condvar, only this scope's completions do.
-                let _ = state.cvar.wait_timeout(guard, WAIT_POLL);
-            }
-        }
-    }
-}
-
-/// Completion tracking for one [`Pool::scope`] invocation.
-struct ScopeState {
-    pending: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    lock: Mutex<()>,
-    cvar: Condvar,
-}
-
-impl ScopeState {
-    fn complete_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.lock.lock().expect("scope lock");
-            self.cvar.notify_all();
-        }
-    }
-}
-
-/// A spawn handle tied to one [`Pool::scope`] invocation. Tasks receive a
-/// `&Scope` themselves, so they can spawn further tasks into the same
-/// scope.
-pub struct Scope<'scope> {
-    pool: Pool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'scope`, like [`std::thread::Scope`]: the scope
-    /// must not be coerced to a longer or shorter task lifetime.
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope")
-            .field("pending", &self.state.pending.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `task` onto the pool. The closure may borrow anything that
-    /// outlives the `scope` call (`'scope`) and receives a `&Scope` for
-    /// nested spawns. Panics inside `task` are captured and re-thrown by
-    /// the owning [`Pool::scope`] after all tasks finish.
-    pub fn spawn<F>(&self, task: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let pool = self.pool.clone();
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let scope = Scope {
-                pool: pool.clone(),
-                state: Arc::clone(&state),
-                _marker: PhantomData,
-            };
-            // Install the scope's pool as `current()` for the task body:
-            // nested fan-outs inside the task cooperate with this pool even
-            // when the task is executed by a helping non-worker thread.
-            if let Err(payload) =
-                catch_unwind(AssertUnwindSafe(|| scope.pool.install(|| task(&scope))))
-            {
-                let mut slot = state.panic.lock().expect("scope panic slot");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            state.complete_one();
-        });
-        // SAFETY: `Pool::scope` does not return before `pending` reaches
-        // zero, i.e. before this job has run and dropped its closure; the
-        // `'scope` borrows it captures therefore strictly outlive every
-        // use. Only the lifetime is transmuted, the vtable is unchanged.
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        self.pool.inner.push(job);
-    }
-}
-
-/// The process-wide shared pool, created on first use. Sized by
-/// `SDFR_THREADS` when that is set to a valid positive integer, by
-/// [`std::thread::available_parallelism`] otherwise (an *invalid*
-/// `SDFR_THREADS` is ignored here — front-ends reject it with
-/// [`env_threads`] before ever reaching the pool).
-pub fn global() -> &'static Pool {
-    static GLOBAL: OnceLock<Pool> = OnceLock::new();
-    GLOBAL.get_or_init(|| Pool::new(default_threads()))
-}
-
-/// The pool the calling thread's fan-outs should use: the worker's own
-/// pool on pool worker threads (so nested fan-outs cooperate instead of
-/// oversubscribing), an [`Pool::install`]ed pool when one is active on
-/// this thread, the [`global`] pool otherwise.
+/// The current [`threads`] and the lifetime fan-out counters.
 #[must_use]
-pub fn current() -> Pool {
-    let worker = WORKER.with(|w| {
-        w.borrow().as_ref().and_then(|ctx| {
-            ctx.joiner.upgrade().map(|joiner| Pool {
-                inner: Arc::clone(&ctx.inner),
-                _joiner: joiner,
-            })
-        })
-    });
-    if let Some(pool) = worker {
-        return pool;
+pub fn stats() -> PoolStats {
+    PoolStats {
+        threads: threads(),
+        spawned: SPAWNED.load(Ordering::Relaxed),
+        stolen: STOLEN.load(Ordering::Relaxed),
+        executed: EXECUTED.load(Ordering::Relaxed),
     }
-    if let Some(pool) = CURRENT.with(|c| c.borrow().clone()) {
-        return pool;
-    }
-    global().clone()
 }
 
-/// The calling thread's background-worker index within its pool:
-/// `Some(0..threads-1)` on a pool worker thread, `None` on scope-driving
-/// and outside threads. Per-worker scratch shards (e.g. the buffer
-/// searcher's session seeders) use this to claim a contention-free slot;
-/// `None` callers share a fallback slot, which in practice is only the
-/// single scope-driving thread.
+/// The width of a fan-out started on the calling thread: 1 inside a
+/// fan-out, else the innermost [`with_threads`], else [`default_threads`].
+#[must_use]
+pub fn threads() -> usize {
+    if IN_FAN_OUT.get() {
+        return 1;
+    }
+    WIDTH.get().unwrap_or_else(default_threads)
+}
+
+/// Runs `f` with fan-outs on this thread `threads` wide, restoring the
+/// previous width on exit, panic included.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`; front-ends report a usage error first.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    assert!(threads >= 1, "a fan-out needs at least one thread");
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WIDTH.set(self.0);
+        }
+    }
+    let _restore = Restore(WIDTH.replace(Some(threads)));
+    f()
+}
+
+/// A chunk size for `n` items: about four chunks per [`threads`], so
+/// threads that finish early claim more.
+#[must_use]
+pub fn chunk_size(n: usize) -> usize {
+    n.div_ceil(threads() * 4).max(1)
+}
+
+/// Evaluates `f(0..n)` in index order, one claim per contiguous chunk of
+/// `chunk` indices (`0` counts as 1), each chunk in ascending order on one
+/// thread: the caller plus `min(threads, chunks) − 1` scoped helpers.
+///
+/// # Panics
+///
+/// A panic in `f` is re-raised here, with its original payload, once every
+/// helper has joined.
+pub fn map_chunked<R: Send>(n: usize, chunk: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let chunk = chunk.max(1);
+    let chunks = n.div_ceil(chunk);
+    let width = threads().min(chunks);
+    if width <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let ran = Mutex::new(Vec::with_capacity(chunks));
+    // Claims chunks until none is left, then files this thread's results
+    // under their chunk numbers.
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                break;
+            }
+            SPAWNED.fetch_add(1, Ordering::Relaxed);
+            let items: Vec<R> = (c * chunk..n.min((c + 1) * chunk)).map(&f).collect();
+            done.push((c, items));
+            EXECUTED.fetch_add(1, Ordering::Relaxed);
+            STOLEN.fetch_add(u64::from(HELPER.get().is_some()), Ordering::Relaxed);
+        }
+        ran.lock()
+            .expect("nothing panics holding it")
+            .append(&mut done);
+    };
+    if let Err(payload) = fan_out(width, &claim) {
+        resume_unwind(payload);
+    }
+    let mut ran = ran.into_inner().expect("nothing panics holding it");
+    ran.sort_unstable_by_key(|&(c, _)| c);
+    ran.into_iter().flat_map(|(_, items)| items).collect()
+}
+
+/// Runs `claim` on the caller and `width − 1` scoped helpers (a helper that
+/// cannot be spawned leaves its chunks to the others), joins them, and
+/// returns the first panic payload. Not generic, so one copy of the thread
+/// machinery serves every [`map_chunked`] instance.
+fn fan_out(width: usize, claim: &(dyn Fn() + Sync)) -> std::thread::Result<()> {
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (0..width - 1)
+            .filter_map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("sdfr-pool-{i}"))
+                    .spawn_scoped(s, move || {
+                        IN_FAN_OUT.set(true);
+                        HELPER.set(Some(i));
+                        claim();
+                    })
+                    .ok()
+            })
+            .collect();
+        let outer = IN_FAN_OUT.replace(true);
+        let own = catch_unwind(AssertUnwindSafe(claim));
+        IN_FAN_OUT.set(outer);
+        helpers.into_iter().map(|h| h.join()).fold(own, Result::and)
+    })
+}
+
+/// The calling thread's helper slot: `Some(0..threads − 1)` on a fan-out
+/// helper, `None` elsewhere. Per-thread scratch shards (the buffer
+/// searcher's seeders) use it to claim a contention-free slot.
 #[must_use]
 pub fn worker_index() -> Option<usize> {
-    WORKER.with(|w| w.borrow().as_ref().map(|ctx| ctx.index))
+    HELPER.get()
 }
 
-/// The error returned by [`env_threads`] for a malformed `SDFR_THREADS`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadsError {
-    raw: String,
+/// Reads the `SDFR_THREADS` override: `Ok(None)` when unset, the count when
+/// set to a positive integer, and the message front-ends report as a usage
+/// error when set to anything else — including `0`.
+pub fn env_threads() -> Result<Option<NonZeroUsize>, String> {
+    let Ok(raw) = std::env::var("SDFR_THREADS") else {
+        return Ok(None);
+    };
+    let bad = || format!("SDFR_THREADS must be a positive integer, got '{raw}'");
+    raw.trim().parse().map(Some).map_err(|_| bad())
 }
 
-impl std::fmt::Display for ThreadsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SDFR_THREADS must be a positive integer, got '{}'",
-            self.raw
-        )
-    }
-}
-
-impl std::error::Error for ThreadsError {}
-
-/// Reads the `SDFR_THREADS` override: `Ok(None)` when unset, the validated
-/// count when set to a positive integer, and an error (for front-ends to
-/// surface as a usage error) when set to anything else — including `0`.
-pub fn env_threads() -> Result<Option<NonZeroUsize>, ThreadsError> {
-    match std::env::var("SDFR_THREADS") {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.trim().parse::<NonZeroUsize>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(ThreadsError { raw }),
-        },
-    }
-}
-
-/// The executor count the [`global`] pool uses: a valid `SDFR_THREADS`, or
-/// the machine's available parallelism.
+/// The width without a [`with_threads`] override, read once per process: a
+/// valid `SDFR_THREADS`, else the available parallelism (an invalid value
+/// is ignored here; front-ends reject it with [`env_threads`]).
 #[must_use]
 pub fn default_threads() -> usize {
-    if let Ok(Some(n)) = env_threads() {
-        return n.get();
-    }
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| match env_threads() {
+        Ok(Some(n)) => n.get(),
+        _ => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     fn one_thread_pool_runs_tasks_in_submission_order() {
-        let pool = Pool::new(1);
+        let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..16 {
-                let order = &order;
-                s.spawn(move |_| order.lock().unwrap().push(i));
-            }
+        with_threads(1, || {
+            map_chunked(16, 1, |i| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(i);
+            })
         });
         assert_eq!(*order.lock().unwrap(), (0..16).collect::<Vec<_>>());
-        let stats = pool.stats();
-        assert_eq!((stats.spawned, stats.executed, stats.stolen), (16, 16, 0));
     }
 
     #[test]
     fn map_indexed_matches_serial_on_any_width() {
         for threads in [1, 2, 4] {
-            let pool = Pool::new(threads);
-            let got = pool.map_indexed(37, |i| i * 3 + 1);
+            let got = with_threads(threads, || map_chunked(37, 1, |i| i * 3 + 1));
             assert_eq!(got, (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>());
         }
     }
@@ -716,9 +229,8 @@ mod tests {
     #[test]
     fn chunked_map_matches_serial_for_any_chunk_size() {
         for threads in [1, 2, 4] {
-            let pool = Pool::new(threads);
             for chunk in [0, 1, 2, 3, 7, 37, 100] {
-                let got = pool.map_indexed_chunked(37, chunk, |i| i * 3 + 1);
+                let got = with_threads(threads, || map_chunked(37, chunk, |i| i * 3 + 1));
                 assert_eq!(
                     got,
                     (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>(),
@@ -731,9 +243,8 @@ mod tests {
     #[test]
     fn chunk_size_is_positive_and_covers_n() {
         for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
             for n in [0, 1, 5, 100, 10_000] {
-                let c = pool.chunk_size(n);
+                let c = with_threads(threads, || chunk_size(n));
                 assert!(c >= 1);
                 assert!(c * threads * 4 >= n, "threads={threads} n={n} chunk={c}");
             }
@@ -743,56 +254,48 @@ mod tests {
     #[test]
     fn worker_index_is_none_off_pool_and_some_on_workers() {
         assert_eq!(worker_index(), None);
-        let pool = Pool::new(3);
-        let seen = Mutex::new(std::collections::BTreeSet::new());
-        pool.scope(|s| {
-            for _ in 0..64 {
-                let seen = &seen;
-                s.spawn(move |_| {
-                    seen.lock().unwrap().insert(worker_index());
-                    // Give the other workers a chance to claim a task.
-                    std::thread::sleep(Duration::from_millis(1));
-                });
-            }
-        });
-        // Every observed index fits the worker range (the driver shows
-        // up as None when it helps).
-        for idx in seen.lock().unwrap().iter().flatten() {
-            assert!(*idx < 2);
-        }
+        let seen: BTreeSet<_> = with_threads(3, || {
+            map_chunked(64, 1, |_| {
+                // Give the other threads a chance to claim a chunk.
+                std::thread::sleep(Duration::from_millis(1));
+                worker_index()
+            })
+        })
+        .into_iter()
+        .collect();
+        // The caller shows up as None, the two helpers as 0 and 1.
+        assert!(seen.iter().flatten().all(|&i| i < 2), "{seen:?}");
+        assert_eq!(worker_index(), None);
     }
 
     #[test]
     fn nested_scopes_make_progress() {
-        // More blocked outer scopes than workers: only help-while-wait
-        // lets the inner tasks run.
-        let pool = Pool::new(2);
-        let hits = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                let hits = &hits;
-                s.spawn(move |_| {
-                    current().scope(|s2| {
-                        for _ in 0..4 {
-                            s2.spawn(move |_| {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
+        // More outer items than threads, each opening an inner fan-out: the
+        // inner ones run inline on the thread that runs the outer item.
+        let hits = with_threads(2, || {
+            map_chunked(8, 1, |_| {
+                let outer = std::thread::current().id();
+                let inner = map_chunked(4, 1, |_| std::thread::current().id() == outer);
+                inner.into_iter().filter(|&same| same).count()
+            })
         });
-        assert_eq!(hits.into_inner(), 32);
+        assert_eq!(hits.into_iter().sum::<usize>(), 32);
     }
 
     #[test]
-    fn install_routes_current_and_restores() {
-        let pool = Pool::new(2);
-        let outside = current();
-        let inside = pool.install(current);
-        assert!(Arc::ptr_eq(&inside.inner, &pool.inner));
-        let after = current();
-        assert!(Arc::ptr_eq(&after.inner, &outside.inner));
+    fn with_threads_overrides_width_and_restores() {
+        let outside = threads();
+        with_threads(3, || {
+            assert_eq!(threads(), 3);
+            assert_eq!(with_threads(5, threads), 5);
+            assert_eq!(threads(), 3);
+            // Inside a fan-out the width is 1: nested fan-outs run inline.
+            assert_eq!(map_chunked(6, 1, |_| threads()), vec![1; 6]);
+        });
+        assert_eq!(threads(), outside);
+        let caught = catch_unwind(|| with_threads(7, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(threads(), outside, "restored after a panic");
     }
 
     #[test]
